@@ -729,7 +729,7 @@ def main(argv=None) -> int:
         code = 0
     except SchemaError as e:
         document, code = {"error": str(e), "path": e.path}, 2
-    except (ValueError, IndexError) as e:
+    except ValueError as e:
         document, code = {"error": str(e)}, 1
     document["schema"] = 1
     if pretty:

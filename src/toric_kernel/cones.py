@@ -10,7 +10,6 @@ sigma = {x : <m, x> >= 0 for every m in facet_normals}.
 from __future__ import annotations
 
 from itertools import combinations
-from math import floor, gcd
 
 from . import zlattice as zl
 
@@ -34,24 +33,21 @@ def _pointed_dual_rays(cons, n):
     """
     if n == 0:
         return []
+    echelon = zl.RowEchelon()
     indep = []
     for i, u in enumerate(cons):
-        if zl.rank([cons[j] for j in indep] + [u]) > len(indep):
+        if echelon.add(u):
             indep.append(i)
-        if len(indep) == n:
-            break
+            if len(indep) == n:
+                break
     if len(indep) < n:
         raise ValueError("constraint matrix does not have full rank")
-    U = [cons[i] for i in indep]
-    rays = []
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        t = zl.solve_rational(U, e)
-        den = 1
-        for f in t:
-            den = den * f.denominator // gcd(den, f.denominator)
-        vec = zl.primitive([int(f * den) for f in t])
-        rays.append((vec, frozenset(indep) - {indep[j]}))
+    # column j of U^-1 = adj(U) / det U is the ray tight on all of U's
+    # rows but row j
+    adj, det = zl.adjugate([cons[i] for i in indep])
+    sign = 1 if det > 0 else -1
+    rays = [(zl.primitive([sign * row[j] for row in adj]),
+             frozenset(indep) - {indep[j]}) for j in range(n)]
     for k, u in enumerate(cons):
         if k in indep:
             continue
@@ -98,10 +94,10 @@ def halfspace_generators(constraints, n):
         return [], _pointed_dual_rays(cons, n)
     _, P, _ = zl.snf(K)
     pi = [list(P[i]) for i in range(ell, n)]
-    piT = zl.transpose(pi)
+    solve = zl.integer_solver(zl.transpose(pi))
     reduced = []
     for u in cons:
-        c = zl.solve_integer(piT, u)
+        c = solve(u)
         if c is None:
             raise ValueError("constraint outside the quotient lattice")
         reduced.append(c)
@@ -112,13 +108,9 @@ def halfspace_generators(constraints, n):
 
 
 def _unimodular_inverse(P):
-    n, _ = zl.shape(P)
-    cols = []
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        x = zl.solve_integer(P, e)
-        cols.append(x)
-    return zl.from_columns(cols, rows=n)
+    # the column HNF of a square unimodular matrix is I, so P U = I
+    _, U = zl.hnf(P)
+    return U
 
 
 class Cone:
@@ -324,14 +316,16 @@ def _parallelepiped_points(S, d):
     with linearly independent columns."""
     H, _ = zl.hnf(S)
     bounds = [H[i][i] for i in range(d)]
+    # S^-1 a = adj a / det, and // floors the exact quotient for either
+    # sign of det
+    adj, det = zl.adjugate(S)
     points = set()
     idx = [0] * d
 
     def rec(i):
         if i == d:
             a = list(idx)
-            t = zl.solve_rational(S, a)
-            shift = [floor(f) for f in t]
+            shift = [x // det for x in zl.mat_vec(adj, a)]
             x = zl.vsub(a, zl.mat_vec(S, shift))
             if any(x):
                 points.add(tuple(x))
@@ -361,7 +355,8 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
     R = sigma.rays()
     if d < n:
         B = zl.span_lattice_basis(sigma.generators, n)
-        R_proj = [zl.solve_integer(B, r) for r in R]
+        solve = zl.integer_solver(B)
+        R_proj = [solve(r) for r in R]
         inner = hilbert_basis(cone(R_proj, d))
         return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
     candidates = {tuple(r) for r in R}

@@ -158,7 +158,7 @@ def dehomogenize(f: SparsePolynomial, D: dv.TorusInvariantDivisor,
     """
     F = D.fan
     if not 0 <= cone_index < len(F.maximal_cones):
-        raise IndexError("maximal cone index out of range")
+        raise zl.IndexOutOfRangeError("maximal cone index out of range")
     I = F.maximal_cones[cone_index]
     U = [list(F.rays[i]) for i in I]
     v = zl.solve_integer(U, [-D.coeffs[i] for i in I])

@@ -68,7 +68,7 @@ def divisor(F, coeffs) -> TorusInvariantDivisor:
 def ray_divisor(F, index: int) -> TorusInvariantDivisor:
     """The divisor of a single ray, by 0-based ray index."""
     if not 0 <= index < len(F.rays):
-        raise IndexError("ray index out of range")
+        raise zl.IndexOutOfRangeError("ray index out of range")
     return TorusInvariantDivisor(F, [int(i == index) for i in range(len(F.rays))])
 
 

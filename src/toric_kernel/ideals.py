@@ -630,7 +630,7 @@ def chart_config(A: zl.Matrix, i: int) -> zl.Matrix:
     """Translate the configuration so that column i sits at the origin."""
     n, s = zl.shape(A)
     if not 0 <= i < s:
-        raise IndexError(f"column index {i} out of range for {s} columns")
+        raise zl.IndexOutOfRangeError(f"column index {i} out of range for {s} columns")
     return [[A[r][j] - A[r][i] for j in range(s)] for r in range(n)]
 
 

@@ -77,14 +77,13 @@ def hull(points) -> LatticePolytope:
             raise AssertionError("homogenized cone has a ray at height != 1")
         verts.append(r[:-1])
     verts.sort()
-    lin_u = [b[:-1] for b in C.dual_lineality]
+    lin_span = zl.RowEchelon(b[:-1] for b in C.dual_lineality)
     facets = []
     for m in C.dual_rays:
         u, a = m[:-1], m[-1]
-        if lin_u and zl.solve_rational(zl.from_columns(lin_u, rows=n), u) is not None:
-            # equivalent, modulo the span equations, to a constant inequality
-            continue
-        if not any(u):
+        if not any(lin_span.residue(u)):
+            # u = 0 or u in the span of the equation normals: equivalent,
+            # modulo the span equations, to a constant inequality
             continue
         facets.append((u, a))
     facets.sort()
@@ -136,7 +135,8 @@ def lattice_points(P: LatticePolytope):
         base = None
     else:
         L = zl.span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
-        ys = [zl.solve_integer(L, zl.vsub(v, x0)) for v in P.vertices]
+        solve = zl.integer_solver(L)
+        ys = [solve(zl.vsub(v, x0)) for v in P.vertices]
         trans = []
         for u, a in P.facets:
             ut = zl.mat_vec(zl.transpose(L), u)
@@ -202,7 +202,8 @@ def project_full(P: LatticePolytope):
     if P.dim == 0:
         return hull([[0]]), (list(x0), [[0] for _ in range(n)])
     L = zl.span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
-    ys = [zl.solve_integer(L, zl.vsub(v, x0)) for v in P.vertices]
+    solve = zl.integer_solver(L)
+    ys = [solve(zl.vsub(v, x0)) for v in P.vertices]
     return hull(ys), (list(x0), L)
 
 

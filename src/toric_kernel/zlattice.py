@@ -17,6 +17,12 @@ from math import gcd
 Matrix = list  # list[list[int]], row-major
 
 
+class IndexOutOfRangeError(ValueError, IndexError):
+    """A caller-supplied index (of a ray, a cone or a column) is out of
+    range. It is a domain error, a ValueError, and stays an IndexError
+    for callers that catch that."""
+
+
 def shape(M: Matrix) -> tuple[int, int]:
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -399,26 +405,47 @@ def cokernel_coords(pres: AbelianGroupPresentation, proj: Matrix, v: list) -> li
     return w[:k] + [w[k + i] % d for i, d in enumerate(pres.invariant_factors)]
 
 
+def _hnf_solver(H: Matrix, U: Matrix):
+    """b -> x with M x = b over Z, or None, from a column HNF H = M U:
+    forward substitution in H gives y, and x = U y."""
+    rows, cols = shape(H)
+    pivot_of_row = {i: j for i, j in hnf_pivots(H)}
+
+    def solve(b: list):
+        if len(b) != rows:
+            raise ValueError("dimension mismatch")
+        y = [0] * cols
+        for i in range(rows):
+            s = b[i] - sum(H[i][j] * y[j] for j in range(cols))
+            j = pivot_of_row.get(i)
+            if j is None:
+                if s != 0:
+                    return None
+            else:
+                p = H[i][j]
+                if s % p:
+                    return None
+                y[j] = s // p
+        return mat_vec(U, y)
+
+    return solve
+
+
+def integer_solver(M: Matrix):
+    """Factor M once; return a function b -> x solving M x = b over Z.
+
+    The function returns an integer solution, or None when none exists.
+    One Hermite normal form of M serves every right-hand side, so a
+    batch of solves against one matrix costs one HNF.
+    """
+    return _hnf_solver(*hnf(M))
+
+
 def solve_integer(M: Matrix, b: list):
     """An integer solution x of M x = b, or None when none exists."""
-    rows, cols = shape(M)
-    if len(b) != rows:
-        raise ValueError("dimension mismatch")
-    H, U = hnf(M)
-    pivot_of_row = {i: j for i, j in hnf_pivots(H)}
-    y = [0] * cols
-    for i in range(rows):
-        s = b[i] - sum(H[i][j] * y[j] for j in range(cols))
-        j = pivot_of_row.get(i)
-        if j is None:
-            if s != 0:
-                return None
-        else:
-            p = H[i][j]
-            if s % p:
-                return None
-            y[j] = s // p
-    return mat_vec(U, y)
+    # integer_solver(M)(b), with the HNF taken here so that a trace of
+    # this call shows it as a direct child
+    return _hnf_solver(*hnf(M))(b)
 
 
 def lattice_index(Msub: Matrix, Msup: Matrix):
@@ -434,10 +461,10 @@ def lattice_index(Msub: Matrix, Msup: Matrix):
         raise ValueError("ambient dimensions differ")
     Hs, _ = hnf(Msup)
     rank_sup = len(hnf_pivots(Hs))
-    basis = [row[:rank_sup] for row in Hs]
+    solve = integer_solver([row[:rank_sup] for row in Hs])
     coords = []
     for col in columns(Msub):
-        y = solve_integer(basis, col)
+        y = solve(col)
         if y is None:
             raise ValueError("column of Msub lies outside the superlattice")
         coords.append(y)
@@ -462,10 +489,10 @@ def affine_lattice_gens(A: Matrix) -> Matrix:
 
 
 def rank(M: Matrix) -> int:
-    if not M or not M[0]:
+    rows, cols = shape(M)
+    if not rows or not cols:
         return 0
-    H, _ = hnf(M)
-    return len(hnf_pivots(H))
+    return len(RowEchelon(M))
 
 
 def solve_rational(M: Matrix, b: list):
@@ -499,6 +526,44 @@ def solve_rational(M: Matrix, b: list):
     for i, c in enumerate(piv_cols):
         x[c] = A[i][cols]
     return x
+
+
+class RowEchelon:
+    """Fraction-free row echelon form of a growing set of integer vectors.
+
+    Each stored row is primitive and zero on the pivots of the rows
+    stored before it, so one pass over the rows reduces a vector:
+    ``residue(v)`` is zero exactly when v lies in the rational span of
+    the rows, and ``add(v)`` stores v when it is independent of them.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows = []
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def residue(self, v: list) -> list:
+        v = list(v)
+        for p, row in self._rows:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, v: list) -> bool:
+        """Store v if it is independent of the rows; report whether it was."""
+        r = self.residue(v)
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        self._rows.append((p, primitive(r)))
+        return True
 
 
 def span_lattice_basis(vectors: list, n: int) -> Matrix:
@@ -540,6 +605,39 @@ def det(M: Matrix) -> int:
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
+
+
+def adjugate(M: Matrix) -> tuple[Matrix, int]:
+    """(adj, d) with M adj = adj M = d I and d = det M, for nonsingular M.
+
+    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss): every
+    division is exact, and at the end the left block is d' I and the
+    right block X has M X = d' I, with d' = +-det M by the row swaps.
+    Raises ValueError when M is singular.
+    """
+    n, m = shape(M)
+    if n != m:
+        raise ValueError("adjugate of a non-square matrix")
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if swap is None:
+                raise ValueError("adjugate of a singular matrix")
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        pivot_row = A[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = A[i]
+            c = row[k]
+            A[i] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in A], sign * prev
 
 
 class RationalPolynomial:

@@ -130,8 +130,7 @@ class TestPermutohedralCone:
     @pytest.mark.xfail(strict=True, reason=(
         "a 77-element generating set exists but is neither minimal nor "
         "reduced: the reduced basis has 128 elements and minimal "
-        "generation needs 75; see the decisions ledger entry on the "
-        "permutohedral ideal size"))
+        "generation needs 75, so no canonical basis has 77"))
     def test_reduced_basis_has_seventy_seven_binomials(self):
         _, basis = permutohedral_data()
         assert len(basis) == 77

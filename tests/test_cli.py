@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import toric_kernel.cli as cli
+from toric_kernel import zlattice as zl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REQUEST_FILES = sorted(p for p in FIXTURES.glob("*.json")
@@ -337,6 +338,22 @@ class TestDomainErrors:
                    {"points": [[0, 0], [1, 0], [0, 1]], "fan": P1P1},
                    expect=1)
         assert "normal fan" in doc["error"]
+
+    def test_domain_index_error_exits_1(self, capsys, monkeypatch):
+        def handler(payload):
+            raise zl.IndexOutOfRangeError("ray index out of range")
+        monkeypatch.setitem(cli._HANDLERS, "cone rays", handler)
+        doc = call(capsys, "cone rays", {}, expect=1)
+        assert doc["error"] == "ray index out of range"
+
+    def test_internal_index_error_is_not_a_domain_error(self, capsys,
+                                                        monkeypatch):
+        def handler(payload):
+            return [][0]
+        monkeypatch.setitem(cli._HANDLERS, "cone rays", handler)
+        with pytest.raises(IndexError):
+            call(capsys, "cone rays", {})
+        assert capsys.readouterr().out == ""
 
     def test_invalid_fan_is_reported_not_raised(self, capsys):
         doc = call(capsys, "fan validate",
