@@ -13,11 +13,27 @@ eliminated) dominates. The block order is what drives saturation: the
 ideal quotient I : (prod of chosen variables)^infinity is computed by
 adjoining one auxiliary variable t together with t * prod - 1 and
 discarding every basis element whose leading term still involves t.
+
+Two Buchberger engines share one pair routine (``_pair_loop``), which
+sees only leading monomials. ``buchberger`` works on term dicts with
+Fraction coefficients and serves every ideal. ``_binomial_basis`` serves
+the graded path of ``toric_ideal``: there every basis element is a pure
+difference binomial x^lead - x^tail, kept as the pair (lead, tail) of
+exponent tuples, and reduction rewrites one monomial at a time
+(Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 12).
+
+Divisibility tests between exponent tuples dominate both engines. Each
+leading monomial therefore carries a bit mask (``_mask``); the masks
+decide coprimality and the mask of an lcm exactly, but for divisibility
+they are only a necessary condition that skips most failing tuple
+tests, and the exact tuple test still runs whenever the mask test
+passes.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -82,11 +98,41 @@ def _mono_mul(a, b):
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+_MASK_BITS = 4   # bits per variable in a divisibility mask
+_THERMO = tuple((1 << k) - 1 for k in range(_MASK_BITS + 1))
+
+
+def _mask(exps) -> int:
+    """Thermometer code of a monomial, a filter for divisibility tests.
+
+    Each variable owns a field of _MASK_BITS bits; bit k of the field is
+    set iff the variable's exponent is at least k + 1, capped at the
+    field width. So a | b implies ``mask(a) & ~mask(b) == 0``, a and b
+    are coprime iff ``mask(a) & mask(b) == 0``, and ``mask(lcm(a, b)) ==
+    mask(a) | mask(b)``. Exponents past the cap make the first test pass
+    where a does not divide b, so it never replaces the tuple test.
+    """
+    m = 0
+    for e in exps:
+        m = (m << _MASK_BITS) | (_THERMO[e] if e < _MASK_BITS else _THERMO[-1])
+    return m
+
+
+def _check_nvars(nvars: int, polys):
+    """Reject polynomials whose variable count is not nvars.
+
+    Exponent tuples are combined with zip, which would silently
+    truncate the longer one.
+    """
+    if any(g.nvars != nvars for g in polys):
+        raise ValueError("variable count mismatch")
 
 
 class SparsePolynomial:
@@ -290,14 +336,22 @@ class LaurentPolynomial:
 # division and Buchberger's algorithm
 
 def _reduce_terms(terms: dict, lead: list, key) -> dict:
-    """Remainder term dict of division by cached (lm, lc, term dict) triples."""
+    """Remainder term dict of division by cached divisors.
+
+    Each divisor is an (lm, mask, lc, term dict) tuple with lm its
+    leading monomial, mask ``_mask(lm)`` and lc its leading coefficient.
+    A term is reduced by the first divisor, in list order, whose leading
+    monomial divides it. Each monomial's order key is computed once.
+    """
     work = dict(terms)
+    keys = {e: key(e) for e in work}
     remainder = {}
     while work:
-        e = max(work, key=key)
+        e = max(work, key=keys.__getitem__)
         c = work.pop(e)
-        for le, lc, gterms in lead:
-            if all(x <= y for x, y in zip(le, e)):
+        out = ~_mask(e)
+        for le, lm, lc, gterms in lead:
+            if not lm & out and _mono_divides(le, e):
                 q = c / lc
                 shift = tuple(x - y for x, y in zip(e, le))
                 for ge, gc in gterms.items():
@@ -307,6 +361,8 @@ def _reduce_terms(terms: dict, lead: list, key) -> dict:
                     s = work.get(t, 0) - q * gc
                     if s:
                         work[t] = s
+                        if t not in keys:
+                            keys[t] = key(t)
                     else:
                         work.pop(t, None)
                 break
@@ -322,11 +378,13 @@ def normal_form(f: SparsePolynomial, basis, order: MonomialOrder) -> SparsePolyn
     basis element, which makes the result canonical whenever the basis
     is a Groebner basis.
     """
+    basis = list(basis)
+    _check_nvars(f.nvars, basis)
     lead = []
     for g in basis:
         if not g.is_zero:
             le, lc = g.leading(order)
-            lead.append((le, lc, g.terms))
+            lead.append((le, _mask(le), lc, g.terms))
     return SparsePolynomial(f.nvars, _reduce_terms(f.terms, lead, order.key))
 
 
@@ -346,16 +404,98 @@ def s_polynomial(f: SparsePolynomial, g: SparsePolynomial,
     return mf * f - mg * g
 
 
+def _pair_loop(initial, reduce_pair, key) -> list:
+    """Buchberger's pair loop, on leading monomials and their masks only.
+
+    The basis elements are numbered 0, 1, ... in the order they arrive.
+    ``initial`` lists the (lead, mask) of the starting elements.
+    ``reduce_pair(i, j, T)`` reduces the S-pair of elements i and j,
+    whose leading monomials have lcm T; when the remainder is nonzero it
+    stores it as the next element and returns its (lead, mask), and
+    otherwise it returns None. Returns the indices of the elements whose
+    leading monomials form the minimal generating set of the leading
+    ideal, sorted by key.
+
+    Pairs are processed lowest lcm degree first, ties broken by the lcm
+    exponent tuple. Two classical pair-elimination criteria prune the
+    queue, applied Gebauer-Moeller style as each element arrives: pairs
+    with coprime leading monomials are dropped, and a pair is dropped
+    when a third leading monomial divides its lcm and the two side pairs
+    survive with smaller lcms (chain criterion).
+    """
+    lead = []    # leading exponents
+    masks = []   # their _mask values
+    alive = {}   # (i, j) -> (lcm, its mask), the pair queue membership
+    heap = []
+
+    def divides_any(T, out, idx):
+        # whether lead[k] divides T for some k in idx; out is ~mask(T)
+        for k in idx:
+            if not masks[k] & out and _mono_divides(lead[k], T):
+                return True
+        return False
+
+    def install(le, m):
+        new = len(lead)
+
+        # candidate pairs (i, new), all lcms divisible by le, so lcm(lead[k], le)
+        # divides lcm(lead[i], le) iff lead[k] does. A candidate goes when a later
+        # candidate or an earlier kept one divides its lcm; coprime ones stay
+        # provisionally since they still knock out candidates whose lcm they divide
+        kept = []
+        queued = []
+        for i in range(new):
+            mi = masks[i]
+            if mi & m:
+                T = _mono_lcm(lead[i], le)
+                out = ~(mi | m)
+                if divides_any(T, out, range(i + 1, new)) or divides_any(T, out, kept):
+                    continue
+                queued.append((i, T, mi | m))
+            kept.append(i)
+
+        # prune old pairs whose lcm the new leading monomial divides strictly
+        doomed = []
+        for (i, j), (T, mT) in alive.items():
+            if (mT & m == m and _mono_divides(le, T)
+                    and (masks[i] | m != mT or T != _mono_lcm(lead[i], le))
+                    and (masks[j] | m != mT or T != _mono_lcm(lead[j], le))):
+                doomed.append((i, j))
+        for ij in doomed:
+            del alive[ij]
+
+        lead.append(le)
+        masks.append(m)
+        for i, T, mT in queued:
+            alive[(i, new)] = (T, mT)
+            heapq.heappush(heap, (sum(T), T, i, new))
+
+    for le, m in initial:
+        install(le, m)
+
+    while heap:
+        _, T, i, j = heapq.heappop(heap)
+        if alive.pop((i, j), None) is None:
+            continue
+        new = reduce_pair(i, j, T)
+        if new is not None:
+            install(*new)
+
+    # minimal generating set: drop leading monomials divisible by another
+    kept = []
+    for k in sorted(range(len(lead)), key=lambda k: key(lead[k])):
+        if not divides_any(lead[k], ~masks[k], kept):
+            kept.append(k)
+    return kept
+
+
 def buchberger(gens, order: MonomialOrder):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Pairs are processed lowest lcm degree first, ties broken by the lcm
-    exponent tuple, so recomputation from shuffled generators returns
-    the identical basis. Two classical pair-elimination criteria prune
-    the queue, applied Gebauer-Moeller style as each element arrives:
-    pairs with coprime leading monomials are dropped, and a pair is
-    dropped when a third leading monomial divides its lcm and the two
-    side pairs survive with smaller lcms (chain criterion).
+    The pair queue and its pruning are ``_pair_loop``'s, so recomputation
+    from shuffled generators returns the identical basis. S-polynomials
+    are reduced by every element found so far, each leading monomial
+    filtered by its mask before the tuple test.
     """
     gens = list(gens)
     if any(g.is_zero for g in gens):
@@ -363,54 +503,23 @@ def buchberger(gens, order: MonomialOrder):
     if not gens:
         return []
     nvars = gens[0].nvars
-    if any(g.nvars != nvars for g in gens):
-        raise ValueError("variable count mismatch")
+    _check_nvars(nvars, gens)
 
     key = order.key
     basis = []   # term dicts, monic
     lead = []    # leading exponents
-    cache = []   # (lm, 1, terms) triples for _reduce_terms
-    alive = {}   # (i, j) -> current lcm, the pair queue membership
-    heap = []
+    cache = []   # divisor tuples for _reduce_terms
 
-    def install(g: SparsePolynomial):
+    def add(g: SparsePolynomial):
         le, lc = g.leading(order)
         terms = g.terms if lc == 1 else {e: c / lc for e, c in g.terms.items()}
-        new = len(basis)
-
-        # candidate pairs (i, new): keep coprime ones provisionally since
-        # they still knock out candidates whose lcm they divide
-        cand = [(i, _mono_lcm(lead[i], le)) for i in range(new)]
-        kept = []
-        for pos, (i, T) in enumerate(cand):
-            coprime = T == _mono_mul(lead[i], le)
-            others = (T2 for _, T2 in cand[pos + 1:] + kept)
-            if coprime or not any(_mono_divides(T2, T) for T2 in others):
-                kept.append((i, T))
-
-        # prune old pairs whose lcm the new leading monomial divides strictly
-        for (i, j), T in list(alive.items()):
-            if (_mono_divides(le, T)
-                    and T != _mono_lcm(lead[i], le)
-                    and T != _mono_lcm(lead[j], le)):
-                del alive[(i, j)]
-
+        m = _mask(le)
         basis.append(terms)
         lead.append(le)
-        cache.append((le, Fraction(1), terms))
-        for i, T in kept:
-            if T != _mono_mul(lead[i], le):
-                alive[(i, new)] = T
-                heapq.heappush(heap, (sum(T), T, i, new))
+        cache.append((le, m, Fraction(1), terms))
+        return le, m
 
-    for g in sorted(gens, key=lambda g: key(g.leading(order)[0])):
-        install(g)
-
-    while heap:
-        _, T, i, j = heapq.heappop(heap)
-        if alive.get((i, j)) != T:
-            continue
-        del alive[(i, j)]
+    def reduce_pair(i, j, T):
         sterms = {}
         for ge, gc in basis[i].items():
             t = tuple(x + y - z for x, y, z in zip(ge, T, lead[i]))
@@ -423,15 +532,10 @@ def buchberger(gens, order: MonomialOrder):
             else:
                 sterms.pop(t, None)
         r = _reduce_terms(sterms, cache, key)
-        if r:
-            install(SparsePolynomial(nvars, r))
+        return add(SparsePolynomial(nvars, r)) if r else None
 
-    # minimal generating set: drop leading monomials divisible by another
-    order_idx = sorted(range(len(basis)), key=lambda k: key(lead[k]))
-    kept_idx = []
-    for k in order_idx:
-        if not any(_mono_divides(lead[m], lead[k]) for m in kept_idx):
-            kept_idx.append(k)
+    initial = [add(g) for g in sorted(gens, key=lambda g: key(g.leading(order)[0]))]
+    kept_idx = _pair_loop(initial, reduce_pair, key)
 
     # inter-reduce: replace each element by its normal form modulo the rest
     reduced = []
@@ -443,8 +547,63 @@ def buchberger(gens, order: MonomialOrder):
     return reduced
 
 
+def _binomial_basis(pairs, key) -> list:
+    """Reduced Groebner basis of a pure difference binomial ideal.
+
+    ``pairs`` holds exponent tuple pairs (u, v) with u != v, standing
+    for the generators x^u - x^v; key is a monomial order's key. Returns
+    the reduced basis as (lead, tail) pairs, lead the larger monomial
+    under key, sorted by key of the lead: the same basis as
+    ``buchberger`` returns for the generators, without coefficients.
+
+    The S-pair of (a_i, b_i) and (a_j, b_j) with lcm T is
+    (T - a_i + b_i, T - a_j + b_j). Each side is rewritten to its normal
+    form by m -> m - a + b with the first element (a, b) whose lead
+    divides m; equal sides mean the S-pair reduces to zero.
+    """
+    leads, tails, masks = [], [], []
+
+    def normal(m):
+        out = ~_mask(m)
+        while True:
+            for a, b, ma in zip(leads, tails, masks):
+                if not ma & out and _mono_divides(a, m):
+                    m = tuple(x - y + z for x, y, z in zip(m, a, b))
+                    out = ~_mask(m)
+                    break
+            else:
+                return m
+
+    def oriented(u, v):
+        return (u, v) if key(u) > key(v) else (v, u)
+
+    def add(lead, tail):
+        m = _mask(lead)
+        leads.append(lead)
+        tails.append(tail)
+        masks.append(m)
+        return lead, m
+
+    def reduce_pair(i, j, T):
+        u = normal(tuple(t - a + b for t, a, b in zip(T, leads[i], tails[i])))
+        v = normal(tuple(t - a + b for t, a, b in zip(T, leads[j], tails[j])))
+        return None if u == v else add(*oriented(u, v))
+
+    gens = sorted((oriented(u, v) for u, v in pairs), key=lambda p: key(p[0]))
+    kept = _pair_loop([add(u, v) for u, v in gens], reduce_pair, key)
+
+    # the minimal leads still form a Groebner basis; a tail and all its
+    # rewrites are smaller than their own lead, which never rewrites them
+    leads[:] = [leads[k] for k in kept]
+    tails[:] = [tails[k] for k in kept]
+    masks[:] = [masks[k] for k in kept]
+    return [(a, normal(b)) for a, b in zip(leads, tails)]
+
+
 def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
     """Whether f lies in the ideal generated by gens."""
+    gens = list(gens)
+    _check_nvars(f.nvars, gens)
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return f.is_zero
@@ -454,8 +613,12 @@ def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> boo
 
 def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:
     """Ideal equality certified by mutual normal-form reduction to zero."""
-    ga = [g for g in gens_a if not g.is_zero]
-    gb = [g for g in gens_b if not g.is_zero]
+    ga, gb = list(gens_a), list(gens_b)
+    both = ga + gb
+    if both:
+        _check_nvars(both[0].nvars, both)
+    ga = [g for g in ga if not g.is_zero]
+    gb = [g for g in gb if not g.is_zero]
     if not ga or not gb:
         return not ga and not gb
     basis_a = buchberger(ga, order)
@@ -531,13 +694,13 @@ class _SaturationOrder:
                 tuple(-exps[j] for j in self.seq))
 
 
-def _divide_out(g: SparsePolynomial, i: int) -> SparsePolynomial:
-    """Strip the largest power of variable i dividing every term."""
-    m = min(e[i] for e in g.terms)
+def _divide_out(pair, i: int):
+    """Strip the largest power of variable i dividing both monomials of a binomial."""
+    u, v = pair
+    m = min(u[i], v[i])
     if m == 0:
-        return g
-    return SparsePolynomial(
-        g.nvars, {e[:i] + (e[i] - m,) + e[i + 1:]: c for e, c in g.terms.items()})
+        return pair
+    return u[:i] + (u[i] - m,) + u[i + 1:], v[:i] + (v[i] - m,) + v[i + 1:]
 
 
 def _positive_grading(A: zl.Matrix):
@@ -575,9 +738,11 @@ def toric_ideal(A: zl.Matrix):
     When the columns span a pointed cone and none is zero, the ideal
     carries a positive grading and the saturation runs variable by
     variable: one weighted reverse-lex basis per variable followed by
-    dividing each element by the variable's largest common power. The
-    degenerate cases fall back to the auxiliary-variable elimination
-    of ``saturate``, which is slower but fully general.
+    dividing each element by the variable's largest common power. That
+    path runs on the binomial engine ``_binomial_basis``, and polynomials
+    are built only for the returned basis. The degenerate cases fall
+    back to the auxiliary-variable elimination of ``saturate``, which is
+    slower but fully general.
     """
     n, s = zl.shape(A)
     if s == 0:
@@ -586,14 +751,15 @@ def toric_ideal(A: zl.Matrix):
     cols = zl.columns(K)
     if not cols:
         return []
-    gens = [lattice_binomial(s, v) for v in cols]
     weights = _positive_grading(A)
     if weights is None:
-        return saturate(gens, range(s))
+        return saturate([lattice_binomial(s, v) for v in cols], range(s))
+    pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in cols]
     for i in range(s):
         order = _SaturationOrder(weights, i)
-        gens = [_divide_out(g, i) for g in buchberger(gens, order)]
-    return buchberger(gens, GREVLEX)
+        pairs = [_divide_out(p, i) for p in _binomial_basis(pairs, order.key)]
+    return [SparsePolynomial(s, {lead: 1, tail: -1})
+            for lead, tail in _binomial_basis(pairs, GREVLEX.key)]
 
 
 def is_homogeneous_config(A: zl.Matrix):

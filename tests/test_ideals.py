@@ -233,15 +233,28 @@ class TestBuchberger:
         assert il.same_ideal(gens, basis)
 
     def test_order_of_input_irrelevant(self):
-        gens = [poly(3, ((1, 0, 1), 1), ((0, 2, 0), -1)),
-                poly(3, ((1, 1, 0), 1), ((0, 0, 1), -1)),
-                poly(3, ((2, 0, 0), 1), ((0, 1, 0), -1))]
-        expected = il.buchberger(gens, GREVLEX)
-        rng = random.Random(7)
-        for _ in range(6):
-            shuffled = gens[:]
-            rng.shuffle(shuffled)
-            assert il.buchberger(shuffled, GREVLEX) == expected
+        small = [poly(3, ((1, 0, 1), 1), ((0, 2, 0), -1)),
+                 poly(3, ((1, 1, 0), 1), ((0, 0, 1), -1)),
+                 poly(3, ((2, 0, 0), 1), ((0, 1, 0), -1))]
+        # exponents past the 4-bit divisibility mask cap; the basis is the
+        # one computed before masks existed
+        past_cap = [poly(3, ((5, 1, 0), 1), ((0, 0, 2), -1), ((1, 0, 0), 1)),
+                    poly(3, ((0, 6, 0), 1), ((2, 0, 1), -1)),
+                    poly(3, ((1, 0, 5), 1), ((0, 2, 0), -2))]
+        assert fmt(il.buchberger(past_cap, GREVLEX)) == [
+            "x1*x3^5 - 2*x2^2", "x2^6 - x1^2*x3", "x1^5*x2 - x3^2 + x1",
+            "x1^4*x2^3 - 1/2*x3^7 + x2^2", "x1^7*x3 - x2^5*x3^2 + x1*x2^5",
+            "x2^3*x3^6 - x1*x2^3*x3^4 - 2*x1^6",
+            "x1^2*x2^3*x3^4 + 2*x1^7 - 2*x2^5*x3",
+            "x1^10 - x1^3*x2^5*x3 + 1/2*x2^2*x3^6 - 1/2*x1*x2^2*x3^4",
+            "x3^11 + 4*x1^9 - 4*x1^2*x2^5*x3 - 2*x2^2*x3^4"]
+        for gens in (small, past_cap):
+            expected = il.buchberger(gens, GREVLEX)
+            rng = random.Random(7)
+            for _ in range(6):
+                shuffled = gens[:]
+                rng.shuffle(shuffled)
+                assert il.buchberger(shuffled, GREVLEX) == expected
 
     def test_elimination(self):
         # intersect <t*x - 1, x^2 - y> with the t-free subring
