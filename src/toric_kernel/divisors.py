@@ -12,12 +12,11 @@ divisors in both directions.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, gcd, inf, lcm
+from math import gcd, inf, lcm
 
 from . import cones as cn
 from . import fans as fn
+from . import polytopes as pt
 from . import zlattice as zl
 
 
@@ -278,38 +277,20 @@ class DivisorPolyhedron:
         return f"DivisorPolyhedron({len(self.facets)} inequalities, {state})"
 
 
-def _h_lattice_points(facets, n):
-    """Lattice points of a bounded {<u,m> + a >= 0 for all (u,a)} set."""
-    feasible = lambda x: all(
-        sum(Fraction(u[i]) * x[i] for i in range(n)) + a >= 0 for u, a in facets)
-    vertices = []
-    for combo in combinations(facets, n):
-        M = [list(u) for u, _ in combo]
-        if zl.det(M) == 0:
-            continue
-        x = zl.solve_rational(M, [-a for _, a in combo])
-        if x is not None and feasible(x):
-            vertices.append(x)
-    if not vertices:
-        return []
-    box = []
-    for i in range(n):
-        vals = [v[i] for v in vertices]
-        box.append(range(ceil(min(vals)), floor(max(vals)) + 1))
-    points = []
-    for p in product(*box):
-        if feasible([Fraction(c) for c in p]):
-            points.append(list(p))
-    return sorted(points)
-
-
 def divisor_polyhedron(D: TorusInvariantDivisor) -> DivisorPolyhedron:
     """The polyhedron of characters m with div(chi^m) + D effective."""
     F = D.fan
+    n = F.ambient_dim
     facets = [(list(u), a) for u, a in zip(F.rays, D.coeffs)]
-    spanned = cn.cone(_ray_matrix(F), F.ambient_dim)
+    spanned = cn.cone(_ray_matrix(F), n)
     bounded = spanned.dual().dim == 0
-    points = _h_lattice_points(facets, F.ambient_dim) if bounded else None
+    points = None
+    if bounded:
+        # the rays of {(m, t) : <u, m> + a t >= 0, t >= 0} are the
+        # vertices (w, t) of the polyhedron, homogenized: boundedness
+        # leaves none at t = 0, and an empty polyhedron has none at all
+        cons = [u + [a] for u, a in facets] + [[0] * n + [1]]
+        points = pt.hull_lattice_points(cn._pointed_dual_rays(cons, n + 1))
     return DivisorPolyhedron(facets, bounded, points)
 
 

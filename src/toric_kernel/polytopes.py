@@ -10,8 +10,9 @@ cutting out the affine span.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
+from operator import mul
 
 from . import cones as cn
 from . import zlattice as zl
@@ -115,47 +116,59 @@ def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     return hull([zl.vadd(p, q) for p in P.vertices for q in Q.vertices])
 
 
+def hull_lattice_points(gens):
+    """Integer points, sorted lexicographically, of the hull of the
+    rational points w / t for homogenized generators (w, t), t > 0.
+
+    With x_0..x_{i-1} fixed, x_i runs between floor-division bounds from
+    the facets and equations (as opposite pairs) of the projection onto
+    x_0..x_i, the hull of the truncated generators. Every prefix extends
+    rationally, so the cost is the number of points plus the prefixes
+    that dead-end on an integer gap.
+    """
+    if not gens:
+        return []
+    d = len(gens[0]) - 1
+    levels = []
+    for i in range(d):
+        C = cn.cone([g[:i + 1] + g[-1:] for g in gens], i + 2)
+        # c x_i + s >= 0 for each lower triple, s - c x_i >= 0 for each
+        # upper one, where s = <u, x_0..x_{i-1}> + a
+        lower = [(m[:i], m[-1], m[i]) for m in C.facet_normals if m[i] > 0]
+        upper = [(m[:i], m[-1], -m[i]) for m in C.facet_normals if m[i] < 0]
+        levels.append((lower, upper))
+    points, x = [], []
+
+    def rec(i):
+        if i == d:
+            points.append(list(x))
+            return
+        lower, upper = levels[i]
+        lo = -min((sum(map(mul, u, x)) + a) // c for u, a, c in lower)
+        hi = min((sum(map(mul, u, x)) + a) // c for u, a, c in upper)
+        for v in range(lo, hi + 1):
+            x.append(v)
+            rec(i + 1)
+            x.pop()
+
+    rec(0)
+    return points
+
+
 def lattice_points(P: LatticePolytope):
     """All integer points of P, sorted lexicographically.
 
-    Enumerates a coordinate box in the saturated lattice of the affine
-    span and filters by the facet inequalities; cost is proportional to
-    the box volume.
+    hull_lattice_points enumerates the full-dimensional image of P under
+    project_full, so the cost is the number of points plus the prefixes
+    that dead-end on an integer gap.
     """
-    if P._points is not None:
-        return [list(p) for p in P._points]
-    n = P.ambient_dim
-    x0 = P.vertices[0]
-    if P.dim == 0:
-        P._points = [list(x0)]
-        return [list(x0)]
-    if P.is_full_dim:
-        ys = P.vertices
-        trans = [(list(u), a) for u, a in P.facets]
-        base = None
-    else:
-        L = zl.span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
-        solve = zl.integer_solver(L)
-        ys = [solve(zl.vsub(v, x0)) for v in P.vertices]
-        trans = []
-        for u, a in P.facets:
-            ut = zl.mat_vec(zl.transpose(L), u)
-            trans.append((ut, a + zl.dot(u, x0)))
-        base = (x0, L)
-    d = len(ys[0])
-    lo = [min(y[i] for y in ys) for i in range(d)]
-    hi = [max(y[i] for y in ys) for i in range(d)]
-    found = []
-    for y in product(*[range(lo[i], hi[i] + 1) for i in range(d)]):
-        if all(sum(u[i] * y[i] for i in range(d)) + a >= 0 for u, a in trans):
-            found.append(list(y))
-    if base is None:
-        pts = sorted(found)
-    else:
-        x0, L = base
-        pts = sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in found)
-    P._points = pts
-    return [list(p) for p in pts]
+    if P._points is None:
+        Q, (x0, L) = project_full(P)
+        pts = hull_lattice_points([y + [1] for y in Q.vertices])
+        if Q is not P:
+            pts = sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in pts)
+        P._points = pts
+    return [list(p) for p in P._points]
 
 
 def _triangulate(P: LatticePolytope):
