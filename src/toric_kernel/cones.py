@@ -22,24 +22,33 @@ def _dedupe(vectors):
     return seen
 
 
-def _pointed_dual_rays(cons, n):
+def _independent_rows(cons, n):
+    """Indices of the first rows of cons that are linearly independent,
+    at most n of them; there are n exactly when cons has rank n."""
+    echelon = zl.RowEchelon()
+    indep = []
+    for i, u in enumerate(cons):
+        if len(indep) == n:
+            break
+        if echelon.add(u):
+            indep.append(i)
+    return indep
+
+
+def _pointed_dual_rays(cons, n, indep=None):
     """Extreme rays of D = {x : <u, x> >= 0 for u in cons}.
 
     Requires the constraint matrix to have rank n, which makes D pointed.
     Incremental double description: seed with a simplicial cone cut out
-    by n independent constraints, then insert the rest in input order,
-    combining only adjacent ray pairs (no third ray's zero set may
-    contain the pair's common zero set).
+    by n independent constraints (``indep``, found here when not given),
+    then insert the rest in input order, combining only adjacent ray
+    pairs (no third ray's zero set may contain the pair's common zero
+    set).
     """
     if n == 0:
         return []
-    echelon = zl.RowEchelon()
-    indep = []
-    for i, u in enumerate(cons):
-        if echelon.add(u):
-            indep.append(i)
-            if len(indep) == n:
-                break
+    if indep is None:
+        indep = _independent_rows(cons, n)
     if len(indep) < n:
         raise ValueError("constraint matrix does not have full rank")
     # column j of U^-1 = adj(U) / det U is the ray tight on all of U's
@@ -87,11 +96,12 @@ def halfspace_generators(constraints, n):
     cons = [list(u) for u in constraints if any(u)]
     if not cons:
         return zl.columns(zl.identity(n)), []
+    indep = _independent_rows(cons, n)
+    if len(indep) == n:
+        return [], _pointed_dual_rays(cons, n, indep)
     K = zl.kernel_basis(cons)
     lin = zl.columns(K)
     ell = len(lin)
-    if ell == 0:
-        return [], _pointed_dual_rays(cons, n)
     _, P, _ = zl.snf(K)
     pi = [list(P[i]) for i in range(ell, n)]
     solve = zl.integer_solver(zl.transpose(pi))
@@ -117,7 +127,7 @@ class Cone:
     """Immutable rational polyhedral cone in Z^ambient_dim."""
 
     __slots__ = ("ambient_dim", "generators", "dual_lineality", "dual_rays",
-                 "facet_normals", "dim", "_rays")
+                 "facet_normals", "dim", "_pointed", "_rays")
 
     def __init__(self, ambient_dim, generators, dual_lineality, dual_rays):
         self.ambient_dim = ambient_dim
@@ -130,6 +140,7 @@ class Cone:
             normals.append([-x for x in b])
         self.facet_normals = normals
         self.dim = zl.rank(generators) if generators else 0
+        self._pointed = None
         self._rays = None
 
     # -- membership and comparisons ------------------------------------
@@ -170,7 +181,9 @@ class Cone:
 
     @property
     def is_pointed(self) -> bool:
-        return zl.rank(self.facet_normals) == self.ambient_dim
+        if self._pointed is None:
+            self._pointed = zl.rank(self.facet_normals) == self.ambient_dim
+        return self._pointed
 
     @property
     def is_full_dim(self) -> bool:
@@ -533,40 +546,66 @@ def is_fixed_point(sigma: Cone) -> bool:
     return sigma.dim == sigma.ambient_dim
 
 
-def separating_character(c1: Cone, c2: Cone):
-    """A character m with c1 cut by m-perp equal to c1 cap c2 and the
-    same on the other side: m in dual(c1), -m in dual(c2).
+def _separates(m, c1: Cone, c2: Cone) -> bool:
+    """Whether m >= 0 on c1, m <= 0 on c2, and c1 and c2 meet m-perp in
+    the same face, which is then c1 cap c2.
 
-    Tries the Hilbert basis of dual(c1) first, then a relative-interior
-    point of dual(c1) cap -dual(c2). Raises ValueError when the
-    intersection is not a common face.
+    The faces c1 cap m-perp and c2 cap m-perp are spanned by the tight
+    generators of each cone, so they are equal exactly when every tight
+    generator of either cone lies in the other cone.
     """
-    if c1.ambient_dim != c2.ambient_dim:
-        raise ValueError("ambient dimensions differ")
+    if any(zl.dot(m, g) < 0 for g in c1.generators):
+        return False
+    if any(zl.dot(m, g) > 0 for g in c2.generators):
+        return False
+    return (all(c2.contains(g) for g in c1.generators if zl.dot(m, g) == 0)
+            and all(c1.contains(g) for g in c2.generators if zl.dot(m, g) == 0))
+
+
+def _relint_separator(c1: Cone, c2: Cone):
+    """The sum of the extreme rays of dual(c1) cap -dual(c2), a point of
+    its relative interior."""
     n = c1.ambient_dim
-    if c1 == c2:
-        return [0] * n
-    tau = intersect(c1, c2)
-
-    def cuts(m):
-        if any(zl.dot(m, g) < 0 for g in c1.generators):
-            return False
-        if any(zl.dot(m, g) > 0 for g in c2.generators):
-            return False
-        t1 = cone([g for g in c1.generators if zl.dot(m, g) == 0], n)
-        t2 = cone([g for g in c2.generators if zl.dot(m, g) == 0], n)
-        return t1 == tau and t2 == tau
-
-    if c1.is_full_dim:
-        for h in hilbert_basis(c1.dual()).vectors:
-            if cuts(h):
-                return h
     constraints = [list(g) for g in c1.generators]
     constraints += [[-x for x in g] for g in c2.generators]
     _, rays = halfspace_generators(constraints, n)
     m = [0] * n
     for r in rays:
         m = zl.vadd(m, r)
-    if any(m) and cuts(m):
-        return m
-    raise ValueError("cones do not intersect in a common face")
+    return m
+
+
+def meet_in_common_face(c1: Cone, c2: Cone) -> bool:
+    """Whether c1 cap c2 is a face of both cones.
+
+    By the separation lemma some m in dual(c1) cap -dual(c2) separates
+    the cones exactly when they meet in a common face, and a point of
+    the relative interior is tight on the fewest generators, so it is
+    the one candidate to test.
+    """
+    if c1.ambient_dim != c2.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    return _separates(_relint_separator(c1, c2), c1, c2)
+
+
+def separating_character(c1: Cone, c2: Cone):
+    """A character m with c1 cut by m-perp equal to c1 cap c2 and the
+    same on the other side: m in dual(c1), -m in dual(c2).
+
+    Tries the Hilbert basis of dual(c1) first, then a relative-interior
+    point of dual(c1) cap -dual(c2). Raises ValueError when the
+    intersection is not a common face; the relative-interior point
+    decides that before any Hilbert basis is computed.
+    """
+    if c1.ambient_dim != c2.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    if c1 == c2:
+        return [0] * c1.ambient_dim
+    m = _relint_separator(c1, c2)
+    if not _separates(m, c1, c2):
+        raise ValueError("cones do not intersect in a common face")
+    if c1.is_full_dim:
+        for h in hilbert_basis(c1.dual()).vectors:
+            if _separates(h, c1, c2):
+                return h
+    return m

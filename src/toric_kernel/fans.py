@@ -115,8 +115,7 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
             if objs[a].contains_cone(objs[b]) or objs[b].contains_cone(objs[a]):
                 raise ValueError(
                     f"maximal cone {a + 1} and maximal cone {b + 1} are nested")
-            tau = cn.intersect(objs[a], objs[b])
-            if not (cn.is_face_of(tau, objs[a]) and cn.is_face_of(tau, objs[b])):
+            if not cn.meet_in_common_face(objs[a], objs[b]):
                 raise ValueError(
                     f"maximal cones {a + 1} and {b + 1} do not intersect in a common face")
     return Fan(n, prim, sets, objs)
