@@ -10,6 +10,7 @@ sigma = {x : <m, x> >= 0 for every m in facet_normals}.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import ge
 
 from . import zlattice as zl
 
@@ -55,8 +56,10 @@ def _pointed_dual_rays(cons, n, indep=None):
     # rows but row j
     adj, det = zl.adjugate([cons[i] for i in indep])
     sign = 1 if det > 0 else -1
+    # zero sets are bitmasks over the constraint indices
+    seed = sum(1 << i for i in indep)
     rays = [(zl.primitive([sign * row[j] for row in adj]),
-             frozenset(indep) - {indep[j]}) for j in range(n)]
+             seed & ~(1 << indep[j])) for j in range(n)]
     for k, u in enumerate(cons):
         if k in indep:
             continue
@@ -68,17 +71,21 @@ def _pointed_dual_rays(cons, n, indep=None):
             elif s < 0:
                 minus.append((vec, Z, s))
             else:
-                zero.append((vec, Z | {k}))
+                zero.append((vec, Z | 1 << k))
         new = [(v, Z) for v, Z, _ in plus] + zero
         for pvec, pZ, ps in plus:
             for mvec, mZ, ms in minus:
                 T = pZ & mZ
-                blocked = any(Z3 >= T and v3 is not pvec and v3 is not mvec
+                # adjacent rays of a pointed cone in R^n share n - 2
+                # independent tight constraints (Fukuda-Prodon)
+                if T.bit_count() < n - 2:
+                    continue
+                blocked = any(Z3 & T == T and v3 is not pvec and v3 is not mvec
                               for v3, Z3 in rays)
                 if blocked:
                     continue
                 w = zl.vadd(zl.vscale(ps, mvec), zl.vscale(-ms, pvec))
-                new.append((zl.primitive(w), T | {k}))
+                new.append((zl.primitive(w), T | 1 << k))
         rays = new
     out = _dedupe([v for v, _ in rays])
     out.sort()
@@ -351,13 +358,51 @@ def _parallelepiped_points(S, d):
     return points
 
 
+def pulling_triangulation(masks, face, k):
+    """Pulling triangulation of a face of a polytope or a pointed cone.
+
+    The points (vertices or rays) are numbered, masks[j] is the bitmask
+    of the points on facet j, and face is the bitmask of the points of a
+    face whose simplices have k points: a polytope face of dimension
+    k - 1 or a cone face of dimension k. The lowest point of face is
+    pulled, that is, joined to the triangulations of those facets of
+    face that miss it; the facets of face are the inclusion-maximal
+    proper sets among face & m. Returns lists of k point indices.
+    """
+    low = face & -face
+    top = [low.bit_length() - 1]
+    if k == 1:
+        return [top]
+    cuts = list(dict.fromkeys(face & m for m in masks if face & m != face))
+    out = []
+    for f in cuts:
+        if f & low or any(f != g and f | g == g for g in cuts):
+            continue
+        out.extend(top + s for s in pulling_triangulation(masks, f, k - 1))
+    return out
+
+
+def _reducible(g, v, kept):
+    """Whether some (grade, values) pair of kept, which is in grade
+    order, has a grade below g and values at most v everywhere."""
+    for h, w in kept:
+        if h >= g:
+            return False
+        if all(map(ge, v, w)):
+            return True
+    return False
+
+
 def hilbert_basis(sigma: Cone) -> HilbertBasis:
     """The Hilbert basis of sigma cap Z^n for a pointed cone sigma.
 
     Candidates are the rays plus the fundamental-parallelepiped points of
-    every maximal simplicial subcone spanned by rays (a Caratheodory
-    cover of sigma). A candidate c is kept exactly when no candidate a
-    with a != c leaves c - a a nonzero lattice point of sigma.
+    the simplicial cones of one pulling triangulation of sigma. A
+    candidate c is reducible exactly when c - a is a nonzero point of
+    sigma for some irreducible a. The grade g, the sum of the facet
+    normals, is positive on sigma minus 0, so then g(a) < g(c):
+    candidates are reduced in grade order, each against the kept
+    elements of lower grade only (Bruns-Ichim, the Normaliz reduction).
     """
     if not sigma.is_pointed:
         raise ValueError("Hilbert basis requires a pointed cone")
@@ -372,27 +417,25 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
         R_proj = [solve(r) for r in R]
         inner = hilbert_basis(cone(R_proj, d))
         return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
-    candidates = {tuple(r) for r in R}
-    for S in combinations(R, d):
-        M = zl.from_columns([list(v) for v in S], rows=d)
-        if zl.det(M) == 0:
-            continue
-        candidates |= _parallelepiped_points(M, d)
-    cand = sorted(candidates)
     normals = sigma.facet_normals
-    kept = []
-    for c in cand:
-        reducible = False
-        for a in cand:
-            if a == c:
-                continue
-            diff = zl.vsub(list(c), list(a))
-            if any(diff) and all(zl.dot(m, diff) >= 0 for m in normals):
-                reducible = True
-                break
-        if not reducible:
-            kept.append(list(c))
-    return HilbertBasis(kept, n)
+    masks = [sum(1 << i for i, r in enumerate(R) if zl.dot(m, r) == 0)
+             for m in normals]
+    candidates = {tuple(r) for r in R}
+    for s in pulling_triangulation(masks, (1 << len(R)) - 1, d):
+        M = zl.from_columns([R[i] for i in s], rows=d)
+        candidates |= _parallelepiped_points(M, d)
+    # c - a lies in sigma exactly when its values on the normals are >= 0
+    graded = []
+    for c in candidates:
+        v = [zl.dot(m, c) for m in normals]
+        graded.append((sum(v), v, c))
+    graded.sort()
+    kept, basis = [], []
+    for g, v, c in graded:
+        if not _reducible(g, v, kept):
+            kept.append((g, v))
+            basis.append(c)
+    return HilbertBasis(basis, n)
 
 
 def semigroup_member(gens, target):

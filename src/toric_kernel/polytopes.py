@@ -128,15 +128,28 @@ def hull_lattice_points(gens):
     """
     if not gens:
         return []
-    d = len(gens[0]) - 1
+    return _level_points(_projection_levels(gens), 1)
+
+
+def _projection_levels(gens):
+    """(lower, upper) bound triples of each coordinate for
+    hull_lattice_points: c x_i + s >= 0 for each lower triple (u, a, c),
+    s - c x_i >= 0 for each upper one, where s = <u, x_0..x_{i-1}> + a."""
     levels = []
-    for i in range(d):
+    for i in range(len(gens[0]) - 1):
         C = cn.cone([g[:i + 1] + g[-1:] for g in gens], i + 2)
-        # c x_i + s >= 0 for each lower triple, s - c x_i >= 0 for each
-        # upper one, where s = <u, x_0..x_{i-1}> + a
         lower = [(m[:i], m[-1], m[i]) for m in C.facet_normals if m[i] > 0]
         upper = [(m[:i], m[-1], -m[i]) for m in C.facet_normals if m[i] < 0]
         levels.append((lower, upper))
+    return levels
+
+
+def _level_points(levels, k):
+    """Integer points of k times the hull the levels describe: the
+    projections of kQ are those of Q with every offset a scaled by k."""
+    levels = [([(u, k * a, c) for u, a, c in lower],
+               [(u, k * a, c) for u, a, c in upper]) for lower, upper in levels]
+    d = len(levels)
     points, x = [], []
 
     def rec(i):
@@ -172,19 +185,14 @@ def lattice_points(P: LatticePolytope):
 
 
 def _triangulate(P: LatticePolytope):
-    """Pulling triangulation from the lexicographically smallest vertex;
-    returns lists of dim+1 affinely independent vertices."""
-    if P.dim == 0:
-        return [[list(P.vertices[0])]]
-    v0 = P.vertices[0]
-    out = []
-    for u, a in P.facets:
-        if zl.dot(u, v0) + a == 0:
-            continue
-        fverts = [v for v in P.vertices if zl.dot(u, v) + a == 0]
-        for s in _triangulate(hull(fverts)):
-            out.append([list(v0)] + s)
-    return out
+    """Pulling triangulation from the lexicographically smallest vertex,
+    read off the vertex-facet incidences; returns lists of dim+1
+    affinely independent vertices."""
+    V = P.vertices
+    masks = [sum(1 << i for i, v in enumerate(V) if zl.dot(u, v) + a == 0)
+             for u, a in P.facets]
+    return [[list(V[i]) for i in s]
+            for s in cn.pulling_triangulation(masks, (1 << len(V)) - 1, P.dim + 1)]
 
 
 def volume(P: LatticePolytope) -> Fraction:
@@ -259,10 +267,10 @@ def ehrhart(P: LatticePolytope) -> zl.RationalPolynomial:
     """Lattice-point counting polynomial of P, via exact interpolation
     of the counts of the first dim+1 dilates."""
     Q, _ = project_full(P)
-    d = Q.dim
+    levels = _projection_levels([y + [1] for y in Q.vertices])
     data = []
-    for k in range(d + 1):
-        data.append((k, len(lattice_points(dilate(Q, k)))))
+    for k in range(Q.dim + 1):
+        data.append((k, len(_level_points(levels, k))))
     return zl.interpolate(data)
 
 

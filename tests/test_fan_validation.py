@@ -157,7 +157,7 @@ class TestPairPredicate:
 
     @seed(7)
     @settings(max_examples=120, deadline=None)
-    @given(cone_pairs(dims=(2, 3), box=2))
+    @given(cone_pairs(dims=(2, 3), box=3))
     def test_separating_character_unchanged(self, pair):
         c1, c2 = pair
         assert (outcome(cn.separating_character, c1, c2)
