@@ -106,7 +106,7 @@ def halfspace_generators(constraints, n):
     indep = _independent_rows(cons, n)
     if len(indep) == n:
         return [], _pointed_dual_rays(cons, n, indep)
-    K = zl.kernel_basis(cons)
+    K = zl._snf_kernel(cons)
     lin = zl.columns(K)
     ell = len(lin)
     _, P, _ = zl.snf(K)
@@ -515,10 +515,9 @@ def _dual_semigroup_data(sigma: Cone):
     dual, the kernel column matrix K, and the quotient projection rows
     (None unless 0 < ell < n)."""
     n = sigma.ambient_dim
-    rows = [list(g) for g in sigma.generators] or [[0] * n]
-    K = zl.kernel_basis(rows)
-    lin = zl.columns(K)
+    lin = sigma.dual_lineality
     ell = len(lin)
+    K = zl.from_columns(lin, rows=n)
     pairs = []
     for b in lin:
         pairs.append(list(b))

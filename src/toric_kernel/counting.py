@@ -54,12 +54,7 @@ def _index_in_saturation(diffs, n: int) -> int:
     vecs = [list(d) for d in diffs if any(d)]
     if not vecs:
         return 1
-    S, _, _ = zl.snf(zl.from_columns(vecs, rows=n))
-    total = 1
-    for i in range(min(n, len(vecs))):
-        if S[i][i]:
-            total *= abs(S[i][i])
-    return total
+    return prod(d for d in zl.snf_diagonal(zl.from_columns(vecs, rows=n)) if d)
 
 
 def kushnirenko_count(A) -> tuple:

@@ -208,40 +208,24 @@ def minimal_cartier_multiple(D: TorusInvariantDivisor):
 def picard_group(F):
     """Cartier divisors modulo characters.
 
-    The lattice of Cartier coefficient vectors is cut out, one maximal
-    cone at a time, by requiring the restriction to the cone's rays to
-    lie in the image of the character pairing. Torsion conditions get
-    an auxiliary unknown each, so the whole system is one integer
-    kernel computation; the quotient by principal divisors is then a
-    cokernel in a basis of that lattice.
+    A divisor with coefficients a is Cartier when every maximal cone
+    sigma has a character m_sigma with a_rho + <m_sigma, u_rho> = 0 on
+    its rays. Those equations form one integer system in the unknowns
+    (a, m_sigma), and the a-part of its kernel generates the Cartier
+    lattice; the quotient by principal divisors is then a cokernel in a
+    basis of that lattice.
     """
     _warn_torus_factor(F)
-    k = len(F.rays)
-    constraints = []          # (row vector in Z^k, invariant factor or None)
-    for I in F.maximal_cones:
-        U = [list(F.rays[i]) for i in I]
-        pres, proj = zl.cokernel(U)
-        for r, row in enumerate(proj):
-            full = [0] * k
-            for pos, i in enumerate(I):
-                full[i] = row[pos]
-            if r < pres.free_rank:
-                constraints.append((full, None))
-            else:
-                constraints.append((full, pres.invariant_factors[r - pres.free_rank]))
-    if constraints:
-        naux = sum(1 for _, d in constraints if d is not None)
-        W, t = [], 0
-        for vec, d in constraints:
-            row = vec + [0] * naux
-            if d is not None:
-                row[k + t] = -d
-                t += 1
+    k, n = len(F.rays), F.ambient_dim
+    width = k + n * len(F.maximal_cones)
+    W = []
+    for s, I in enumerate(F.maximal_cones):
+        for i in I:
+            row = [0] * width
+            row[i] = 1
+            row[k + n * s:k + n * (s + 1)] = F.rays[i]
             W.append(row)
-        K = zl.kernel_basis(W)
-        gens = [K[i] for i in range(k)]
-    else:
-        gens = zl.identity(k)
+    gens = zl.kernel_basis(W)[:k] if W else zl.identity(k)
     H, _ = zl.hnf(gens)
     basis_cols = [c for c in zl.columns(H) if any(c)]
     if not basis_cols:

@@ -148,16 +148,9 @@ def is_complete(F: Fan) -> bool:
     n = F.ambient_dim
     if any(c.dim < n for c in F._max_objs):
         return False
-    ridges = {}
-    for I, c in zip(F.maximal_cones, F._max_objs):
-        for f in c.faces():
-            if f.dim == n - 1:
-                ixs = tuple(i for i in I if f.contains(F.rays[i]))
-                ridges.setdefault(ixs, f)
-    for f in ridges.values():
-        if sum(1 for c in F._max_objs if c.contains_cone(f)) != 2:
-            return False
-    return True
+    ridges = [f for f in F.all_cones().values() if f.dim == n - 1]
+    return all(sum(1 for c in F._max_objs if c.contains_cone(f)) == 2
+               for f in ridges)
 
 
 def star_subdivision(F: Fan, index: int) -> Fan:

@@ -287,10 +287,11 @@ def is_normal(P: LatticePolytope) -> bool:
     d = Q.dim
     if d <= 1:
         return True
-    A1 = {tuple(p) for p in lattice_points(Q)}
+    levels = _projection_levels([y + [1] for y in Q.vertices])
+    A1 = {tuple(p) for p in _level_points(levels, 1)}
     Ak = A1
     for k in range(1, d):
-        target = {tuple(p) for p in lattice_points(dilate(Q, k + 1))}
+        target = {tuple(p) for p in _level_points(levels, k + 1)}
         sums = {tuple(zl.vadd(list(a), list(b))) for a in A1 for b in Ak}
         if sums != target:
             return False

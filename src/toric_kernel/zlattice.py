@@ -316,8 +316,23 @@ def snf_diagonal(M: Matrix) -> list:
 def kernel_basis(M: Matrix) -> Matrix:
     """Basis of the saturated kernel {x integer : M x = 0}, as columns.
 
-    The basis comes from the Smith transform, so the lattice it spans is
-    the full intersection of the rational kernel with the integer lattice.
+    The columns of U past the pivots of the column HNF H = M U: H is
+    zero there and U is unimodular, so they span the full intersection
+    of the rational kernel with the integer lattice (Cohen, section 2.4).
+    """
+    H, U = hnf(M)
+    rank = len(hnf_pivots(H))
+    return [row[rank:] for row in U]
+
+
+def _snf_kernel(M: Matrix) -> Matrix:
+    """kernel_basis read off the Smith column transform instead.
+
+    Its basis reaches stdout: the lineality of ``cone dual`` and the
+    equations of ``polytope facets`` (through cones.halfspace_generators),
+    and the embedding of ``polytope project-full`` and the projection of
+    ``fan star-quotient`` (through span_lattice_basis). Those bytes are
+    pinned, so these callers keep this basis.
     """
     rows, cols = shape(M)
     S, _, Q = snf(M)
@@ -575,11 +590,11 @@ def span_lattice_basis(vectors: list, n: int) -> Matrix:
     rows = [list(v) for v in vectors if any(v)]
     if not rows:
         return [[] for _ in range(n)]
-    K = kernel_basis(rows)        # orthogonal complement lattice
+    K = _snf_kernel(rows)         # orthogonal complement lattice
     _, k = shape(K)
     if k == 0:
         return identity(n)
-    return kernel_basis(transpose(K))
+    return _snf_kernel(transpose(K))
 
 
 def det(M: Matrix) -> int:

@@ -38,9 +38,6 @@ def generic_toric_ideal(A):
     return il.buchberger(gens, GREVLEX)
 
 
-KERNEL_ENTRY_LIMIT = 20
-
-
 def binomial(lead, tail):
     return SparsePolynomial(len(lead), {lead: 1, tail: -1})
 
@@ -62,9 +59,6 @@ class TestToricIdealAgainstGenericPath:
     def test_graded_configurations(self, cols):
         assume(all(any(c) for c in cols))
         A = zl.from_columns(cols, rows=len(cols[0]))
-        # an unreduced kernel basis with large entries makes both paths take
-        # tens of seconds (the first saturation passes grow to ~1500 binomials)
-        assume(all(abs(x) <= KERNEL_ENTRY_LIMIT for row in zl.kernel_basis(A) for x in row))
         assert il._positive_grading(A) is not None
         assert il.toric_ideal(A) == generic_toric_ideal(A)
 

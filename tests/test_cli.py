@@ -546,3 +546,40 @@ class TestCoxCommands:
         doc = schema_error(capsys, "cox degree",
                            {"fan": HIRZ2, "exponents": [1, 0]})
         assert doc["path"] == "/payload/exponents"
+
+
+# Outputs that print a lattice basis chosen by a unimodular transform:
+# the lineality of a non-pointed dual, the equations of a lower
+# dimensional polytope, the embedding of project-full and the projection
+# of star-quotient. Any other valid basis would be correct too, so only
+# these pins keep the printed bytes from changing with the kernel routine.
+PRINTED_BASES = [
+    pytest.param("cone dual",
+                 {"generators": [[-2, 3, -2]]},
+                 '{"generators":[["-3","-2","0"],["-2","-2","-1"],["1","1","0"],["2","2","1"],["3","2","0"]],"schema":1}',
+                 id="cone-dual-ray-in-z3"),
+    pytest.param("cone dual",
+                 {"generators": [[0, 0, 1, -2], [-4, 3, 4, 0]]},
+                 '{"generators":[["-8","-8","-2","-1"],["-3","-4","0","0"],["-1","-1","0","0"],["3","4","0","0"],["4","4","1","0"],["8","8","2","1"]],"schema":1}',
+                 id="cone-dual-plane-cone-in-z4"),
+    pytest.param("polytope facets",
+                 {"points": [[1, -2, 0], [-1, 2, -3]]},
+                 '{"equations":[{"normal":["-3","0","2"],"offset":"3"},{"normal":["2","1","0"],"offset":"0"}],"inequalities":[{"normal":["-1","0","1"],"offset":"2"},{"normal":["1","0","-1"],"offset":"-1"}],"schema":1,"vertices":[["-1","2","-3"],["1","-2","0"]]}',
+                 id="facets-of-a-segment-in-z3"),
+    pytest.param("polytope project-full",
+                 {"points": [[3, 2, -4], [-3, -2, 2], [-3, 0, -1]]},
+                 '{"embedding":[["0","1"],["2","0"],["-3","0"]],"origin":["-3","-2","2"],"schema":1,"vertices":[["0","0"],["1","0"],["2","6"]]}',
+                 id="project-full-of-a-triangle-in-z3"),
+    pytest.param("fan star-quotient",
+                 {"fan": {"rays": [[-8, -5, -4], [-1, 0, -3], [0, -1, 0], [1, 1, 1], [3, 0, 1]], "max_cones": [[2, 4, 5], [1, 2, 3, 5], [3, 4, 5], [1, 3, 4], [1, 2, 4]]}, "cone": [1]},
+                 '{"fan":{"ambient":"2","max_cones":[["1","2"],["2","3"],["1","3"]],"rays":[["-3","-5"],["1","2"],["1","1"]]},"projection":[["0","-4","5"],["1","-8","8"]],"schema":1}',
+                 id="star-quotient-at-a-skew-ray"),
+]
+
+
+@pytest.mark.parametrize("command,payload,expected", PRINTED_BASES)
+def test_printed_basis_is_pinned(capsys, command, payload, expected):
+    request = {"schema": 1, "command": command, "payload": payload}
+    code, out = run(capsys, command.split(), json.dumps(request))
+    assert code == 0, out
+    assert out == expected + "\n"

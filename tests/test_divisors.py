@@ -1,6 +1,8 @@
 """Divisors on fans: classes, Cartier data, sections, polytope duality."""
 
 import random
+import time
+import warnings
 from math import inf
 
 import pytest
@@ -25,6 +27,8 @@ TILTED = fn.fan([[1, 2], [1, 0], [-3, -2], [0, 1]],
                  [[0, 1], [1, 2], [2, 3], [0, 3]], 2)
 WEDGE = fn.fan([[-1, -2], [1, 0]], [[0, 1]], 2)
 WEDGE_RAYS = fn.fan([[-1, -2], [1, 0]], [[0], [1]], 2)
+P3 = fn.fan([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+            [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], 3)
 SMOOTH_FANS = [P2, P1P1, HIRZ2]
 ALL_FANS = SMOOTH_FANS + [DIAMOND, TILTED, WEDGE, WEDGE_RAYS]
 
@@ -212,6 +216,142 @@ class TestPicardGroup:
 
     def test_quarter_fan(self):
         assert dv.picard_group(TILTED) == zl.AbelianGroupPresentation(2)
+
+
+def old_picard_group(F):
+    """The per-cone cokernel construction that picard_group replaced,
+    kept verbatim as a differential oracle."""
+    dv._warn_torus_factor(F)
+    k = len(F.rays)
+    constraints = []          # (row vector in Z^k, invariant factor or None)
+    for I in F.maximal_cones:
+        U = [list(F.rays[i]) for i in I]
+        pres, proj = zl.cokernel(U)
+        for r, row in enumerate(proj):
+            full = [0] * k
+            for pos, i in enumerate(I):
+                full[i] = row[pos]
+            if r < pres.free_rank:
+                constraints.append((full, None))
+            else:
+                constraints.append((full, pres.invariant_factors[r - pres.free_rank]))
+    if constraints:
+        naux = sum(1 for _, d in constraints if d is not None)
+        W, t = [], 0
+        for vec, d in constraints:
+            row = vec + [0] * naux
+            if d is not None:
+                row[k + t] = -d
+                t += 1
+            W.append(row)
+        K = zl._snf_kernel(W)
+        gens = [K[i] for i in range(k)]
+    else:
+        gens = zl.identity(k)
+    H, _ = zl.hnf(gens)
+    basis_cols = [c for c in zl.columns(H) if any(c)]
+    if not basis_cols:
+        return zl.AbelianGroupPresentation(0)
+    B = zl.from_columns(basis_cols, rows=k)
+    coords = []
+    for c in zl.columns(dv._ray_matrix(F)):
+        x = zl.solve_integer(B, c)
+        assert x is not None, "principal divisors must be Cartier"
+        coords.append(x)
+    X = zl.from_columns(coords, rows=len(basis_cols))
+    return zl.cokernel(X)[0]
+
+
+def random_normal_fan(rng, n, npoints, box):
+    while True:
+        P = pt.hull([[rng.randint(-box, box) for _ in range(n)]
+                     for _ in range(npoints)])
+        if P.is_full_dim:
+            return fn.normal_fan(P)
+
+
+def fan_of(F, cones):
+    """The fan of some cones of F, given as ray-index tuples."""
+    used = sorted({i for I in cones for i in I})
+    pos = {i: j for j, i in enumerate(used)}
+    return fn.fan([F.rays[i] for i in used],
+                  [[pos[i] for i in I] for I in cones], F.ambient_dim)
+
+
+def random_subfan(rng, F):
+    m = len(F.maximal_cones)
+    keep = sorted(rng.sample(range(m), rng.randint(1, m - 1)))
+    return fan_of(F, [F.maximal_cones[j] for j in keep])
+
+
+def random_skeleton(rng, F):
+    """A fan of some random cones of dimension at most 2 of F."""
+    faces = [I for I, c in F.all_cones().items() if 1 <= c.dim <= 2]
+    chosen = rng.sample(faces, rng.randint(1, min(6, len(faces))))
+    return fan_of(F, [I for I in chosen
+                      if not any(set(I) < set(J) for J in chosen)])
+
+
+def random_star_subdivision(rng, F, steps):
+    for _ in range(steps):
+        smooth = [j for j, c in enumerate(F._max_objs)
+                  if c.dim == F.ambient_dim and c.is_smooth]
+        if not smooth:
+            break
+        F = fn.star_subdivision(F, rng.choice(smooth))
+    return F
+
+
+def picard_oracle_fans():
+    """At least 200 seeded fans: normal fans of polygons and 3-polytopes,
+    subfans with maximal cones dropped, star subdivisions of smooth and
+    of normal fans, the torsion fans of this module, fans of low
+    dimensional cones (where Pic has torsion) and polygon fans placed in
+    Z^3 (with a torus factor)."""
+    rng = random.Random(20261107)
+    fans = [WEDGE_RAYS, DIAMOND, TILTED]
+    for _ in range(50):
+        fans.append(random_normal_fan(rng, 2, rng.randint(3, 7), 4))
+    for _ in range(40):
+        fans.append(random_normal_fan(rng, 3, rng.randint(4, 7), 2))
+    for _ in range(40):
+        n = rng.choice([2, 3])
+        F = random_normal_fan(rng, n, rng.randint(n + 1, 6), 6 - n)
+        fans.append(random_subfan(rng, F))
+    for _ in range(40):
+        F = rng.choice([P2, P1P1, HIRZ2, P3, rng.choice(fans[3:93])])
+        fans.append(random_star_subdivision(rng, F, rng.randint(1, 3)))
+    for _ in range(30):
+        F = random_star_subdivision(rng, rng.choice([P2, P1P1, HIRZ2, P3]), 2)
+        fans.append(random_subfan(rng, F))
+    for _ in range(30):
+        fans.append(random_skeleton(rng, random_normal_fan(rng, 3, 6, 3)))
+    for _ in range(10):
+        F = random_normal_fan(rng, 2, rng.randint(3, 6), 3)
+        fans.append(fn.fan([list(r) + [0] for r in F.rays], F.maximal_cones, 3))
+    return fans
+
+
+class TestPicardGroupAgainstCokernelChain:
+    def test_matches_old_construction(self):
+        fans = picard_oracle_fans()
+        assert len(fans) >= 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for F in fans:
+                assert dv.picard_group(F) == old_picard_group(F), (F.rays, F.maximal_cones)
+
+    def test_thirty_ray_normal_fan_within_budget(self):
+        rng = random.Random(20)
+        P = pt.hull([[rng.randint(-6, 6) for _ in range(3)] for _ in range(25)])
+        F = fn.normal_fan(P)
+        assert (len(F.rays), len(F.maximal_cones)) == (30, 19)
+        start = time.monotonic()
+        pic = dv.picard_group(F)
+        elapsed = time.monotonic() - start
+        assert elapsed < 1, f"took {elapsed:.2f}s, budget 1s"
+        # old_picard_group gives the same group after about ten minutes
+        assert pic == zl.AbelianGroupPresentation(1)
 
 
 class TestDivisorPolyhedron:

@@ -70,7 +70,7 @@ def old_halfspace_generators(constraints, n):
     cons = [list(u) for u in constraints if any(u)]
     if not cons:
         return zl.columns(zl.identity(n)), []
-    K = zl.kernel_basis(cons)
+    K = zl._snf_kernel(cons)
     lin = zl.columns(K)
     ell = len(lin)
     if ell == 0:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,6 +379,16 @@ class TestToricIdeal:
 
     def test_nonpointed_configuration(self):
         assert fmt(il.toric_ideal([[1, -1]])) == ["x1*x2 - 1"]
+
+    def test_configuration_with_a_large_smith_kernel_within_budget(self):
+        # the Smith column transform gives this kernel entries up to 114,
+        # and Buchberger then ran for about 40 s
+        A = [[2, 3, 1, 1, 2, 2, 1], [3, 2, 1, 2, 3, 0, 0], [0, 1, 3, 3, 2, 3, 3]]
+        start = time.monotonic()
+        basis = il.toric_ideal(A)
+        elapsed = time.monotonic() - start
+        assert elapsed < 1, f"took {elapsed:.2f}s, budget 1s"
+        assert len(basis) == 22
 
     @given(st.integers(1, 2).flatmap(
         lambda d: st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),

@@ -130,6 +130,23 @@ class TestKernel:
                 if any(v) and zl.mat_vec(M, list(v)) == [0] * rows:
                     assert zl.solve_integer(K, list(v)) is not None
 
+    @given(small_matrices)
+    @settings(max_examples=100)
+    def test_same_lattice_as_the_smith_kernel(self, M):
+        K, S = zl.kernel_basis(M), zl._snf_kernel(M)
+        assert zl.shape(K) == zl.shape(S)
+        for col in zl.columns(S):
+            assert zl.solve_integer(K, col) is not None
+        for col in zl.columns(K):
+            assert zl.solve_integer(S, col) is not None
+
+    def test_hnf_kernel_stays_small(self):
+        # the Smith column transform of this matrix has entries up to 114
+        A = [[2, 3, 1, 1, 2, 2, 1], [3, 2, 1, 2, 3, 0, 0], [0, 1, 3, 3, 2, 3, 3]]
+        K = zl.kernel_basis(A)
+        assert zl.shape(K) == (7, 4)
+        assert max(abs(x) for row in K for x in row) <= 20
+
 
 class TestCokernel:
     def test_p2(self):
