@@ -548,7 +548,13 @@ def dual_semigroup_decompose(sigma: Cone, target):
     dual_semigroup_generators(sigma), or None when target is not in the
     dual semigroup. The lineality part is split into the +/- basis
     pairs; the pointed part goes through semigroup_member."""
-    pairs, lifted, K, pi = _dual_semigroup_data(sigma)
+    return _decompose_over(_dual_semigroup_data(sigma), target)
+
+
+def _decompose_over(data, target):
+    """dual_semigroup_decompose with sigma's _dual_semigroup_data given,
+    for callers that decompose many targets over one cone."""
+    pairs, lifted, K, pi = data
     if not pairs:
         return semigroup_member(lifted, target)
     if pi is None:

@@ -311,6 +311,7 @@ def chart_transition(F: Fan, index1: int, index2: int):
     s1 = F.max_cone(index1)
     s2 = F.max_cone(index2)
     m = cn.separating_character(s1, s2)
+    data1 = cn._dual_semigroup_data(s1)
     rows = []
     for h in cn.dual_semigroup_generators(s2):
         c = 0
@@ -319,7 +320,7 @@ def chart_transition(F: Fan, index1: int, index2: int):
             hg = zl.dot(h, g)
             if mg > 0 and hg < 0:
                 c = max(c, (-hg + mg - 1) // mg)
-        coeffs = cn.dual_semigroup_decompose(s1, zl.vadd(h, zl.vscale(c, m)))
+        coeffs = cn._decompose_over(data1, zl.vadd(h, zl.vscale(c, m)))
         if coeffs is None:
             raise AssertionError("transition monomial escaped the source chart")
         rows.append(list(coeffs) + [c])

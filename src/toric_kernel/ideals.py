@@ -17,9 +17,9 @@ discarding every basis element whose leading term still involves t.
 Two Buchberger engines share one pair routine (``_pair_loop``), which
 sees only leading monomials. ``buchberger`` works on term dicts with
 Fraction coefficients and serves every ideal. ``_binomial_basis`` serves
-the graded path of ``toric_ideal``: there every basis element is a pure
-difference binomial x^lead - x^tail, kept as the pair (lead, tail) of
-exponent tuples, and reduction rewrites one monomial at a time
+``toric_ideal``: there every basis element is a pure difference binomial
+x^lead - x^tail, kept as the pair (lead, tail) of exponent tuples, and
+reduction rewrites one monomial at a time
 (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 12).
 
 Divisibility tests between exponent tuples dominate both engines. Each
@@ -726,6 +726,35 @@ def _positive_grading(A: zl.Matrix):
     return [w // g for w in weights] if g > 1 else weights
 
 
+def _support(exps) -> int:
+    """Bit mask of the variables with a nonzero exponent."""
+    return sum(1 << j for j, e in enumerate(exps) if e)
+
+
+def _unit_closure(pairs, sat: int) -> int:
+    """Grow sat, a bit mask of variables, by the unit rule to a fixpoint.
+
+    For each binomial (a, b) of the pairs: when supp(b) lies in sat,
+    supp(a) joins it, and symmetrically. If J, the ideal the pairs
+    generate, is saturated with respect to every variable in sat, it is
+    so with respect to every variable of the grown mask: once the
+    variables of sat are inverted, x^b is a unit modulo J, so x^a = x^b
+    is one too, and so is every variable of a; saturating J by a unit
+    changes nothing.
+    """
+    supports = [(_support(a), _support(b)) for a, b in pairs]
+    while True:
+        grown = sat
+        for sa, sb in supports:
+            if not sb & ~grown:
+                grown |= sa
+            if not sa & ~grown:
+                grown |= sb
+        if grown == sat:
+            return sat
+        sat = grown
+
+
 def toric_ideal(A: zl.Matrix):
     """Reduced graded-reverse-lex basis of the toric ideal of A.
 
@@ -733,16 +762,21 @@ def toric_ideal(A: zl.Matrix):
     ideal is the vanishing ideal of the closure of its image. Pipeline:
     saturated-kernel basis, one binomial per basis vector, saturation
     with respect to the product of all variables, then the reduced
-    basis. Every output element is a binomial.
+    basis. Every output element is a binomial, and every step runs on
+    the binomial engine ``_binomial_basis``; polynomials are built only
+    for the returned basis.
 
     When the columns span a pointed cone and none is zero, the ideal
     carries a positive grading and the saturation runs variable by
     variable: one weighted reverse-lex basis per variable followed by
-    dividing each element by the variable's largest common power. That
-    path runs on the binomial engine ``_binomial_basis``, and polynomials
-    are built only for the returned basis. The degenerate cases fall
-    back to the auxiliary-variable elimination of ``saturate``, which is
-    slower but fully general.
+    dividing each element by the variable's largest common power. A
+    variable is skipped once ``_unit_closure`` shows it is a unit modulo
+    the ideal with the saturated variables inverted: x^a - x^b in the
+    ideal with every variable of b saturated makes every variable of a
+    such a unit, and saturating by a unit changes nothing. Without a
+    positive grading, one basis under the block order eliminating an
+    auxiliary t, with t * x_1 * ... * x_s - 1 adjoined, gives the
+    saturation as its t-free part (the method of ``saturate``).
     """
     n, s = zl.shape(A)
     if s == 0:
@@ -751,13 +785,21 @@ def toric_ideal(A: zl.Matrix):
     cols = zl.columns(K)
     if not cols:
         return []
+    pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in cols]
     weights = _positive_grading(A)
     if weights is None:
-        return saturate([lattice_binomial(s, v) for v in cols], range(s))
-    pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in cols]
+        lifted = [((0,) + u, (0,) + v) for u, v in pairs]
+        lifted.append(((1,) * (s + 1), (0,) * (s + 1)))
+        basis = _binomial_basis(lifted, elimination_block(1).key)
+        return [SparsePolynomial(s, {lead[1:]: 1, tail[1:]: -1})
+                for lead, tail in basis if lead[0] == 0]
+    sat = 0
     for i in range(s):
+        if sat >> i & 1:
+            continue
         order = _SaturationOrder(weights, i)
         pairs = [_divide_out(p, i) for p in _binomial_basis(pairs, order.key)]
+        sat = _unit_closure(pairs, sat | 1 << i)
     return [SparsePolynomial(s, {lead: 1, tail: -1})
             for lead, tail in _binomial_basis(pairs, GREVLEX.key)]
 

@@ -10,13 +10,12 @@ TestScopeOfTheSuite).
 """
 
 import random
-import time
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
 import pytest
+from conftest import within
 
 import toric_kernel.cones as cn
 import toric_kernel.counting as ct
@@ -26,14 +25,6 @@ import toric_kernel.fans as fn
 import toric_kernel.ideals as il
 import toric_kernel.polytopes as pt
 import toric_kernel.zlattice as zl
-
-
-@contextmanager
-def within(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"took {elapsed:.1f}s, budget {seconds}s"
 
 
 def binomial(nvars, plus, minus):

@@ -1,16 +1,19 @@
 """The binomial Groebner engine and the divisibility masks.
 
-The graded path of ``toric_ideal`` runs on exponent pairs
-(``_binomial_basis``); the generic ``buchberger`` on term dicts is its
-oracle. ``generic_toric_ideal`` below is the graded path as it was
-before the binomial engine, kept here verbatim in substance: one
-``buchberger`` per variable under ``_SaturationOrder``, each element
-divided by the variable's largest common power, then GREVLEX.
+``toric_ideal`` runs on exponent pairs (``_binomial_basis``); the
+generic ``buchberger`` on term dicts is its oracle. ``generic_toric_ideal``
+below is the graded path as it was before the binomial engine, kept here
+verbatim in substance: one ``buchberger`` per variable under
+``_SaturationOrder``, each element divided by the variable's largest
+common power, then GREVLEX. ``all_variable_toric_ideal`` is the graded
+path before it skipped the variables ``_unit_closure`` shows to be
+units, and ``saturate`` is the oracle of the non-pointed path.
 """
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+from toric_kernel import cones as cn
 from toric_kernel import ideals as il
 from toric_kernel import zlattice as zl
 from toric_kernel.ideals import GREVLEX, LEX, SparsePolynomial
@@ -38,6 +41,25 @@ def generic_toric_ideal(A):
     return il.buchberger(gens, GREVLEX)
 
 
+def all_variable_toric_ideal(A):
+    """The graded path of ``toric_ideal`` before it skipped variables
+    already known to be units: one ``_binomial_basis`` pass for every
+    variable, then GREVLEX."""
+    n, s = zl.shape(A)
+    K = zl.kernel_basis(A)
+    cols = zl.columns(K)
+    if not cols:
+        return []
+    weights = il._positive_grading(A)
+    assert weights is not None
+    pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in cols]
+    for i in range(s):
+        order = il._SaturationOrder(weights, i)
+        pairs = [il._divide_out(p, i) for p in il._binomial_basis(pairs, order.key)]
+    return [SparsePolynomial(s, {lead: 1, tail: -1})
+            for lead, tail in il._binomial_basis(pairs, GREVLEX.key)]
+
+
 def binomial(lead, tail):
     return SparsePolynomial(len(lead), {lead: 1, tail: -1})
 
@@ -62,9 +84,17 @@ class TestToricIdealAgainstGenericPath:
         assert il._positive_grading(A) is not None
         assert il.toric_ideal(A) == generic_toric_ideal(A)
 
+    @seed(20261105)
+    @settings(max_examples=120, deadline=None)
+    @given(configurations((2, 3), (4, 9), 0, 3))
+    def test_graded_configurations_against_every_variable_pass(self, cols):
+        assume(all(any(c) for c in cols))
+        A = zl.from_columns(cols, rows=len(cols[0]))
+        assert il.toric_ideal(A) == all_variable_toric_ideal(A)
+
     @seed(20261102)
-    @settings(max_examples=40, deadline=None)
-    @given(configurations((1, 2), (3, 5), -2, 2))
+    @settings(max_examples=120, deadline=None)
+    @given(configurations((1, 2), (3, 6), -3, 3))
     def test_non_pointed_configurations(self, cols):
         A = zl.from_columns(cols, rows=len(cols[0]))
         assume(il._positive_grading(A) is None)
@@ -72,6 +102,93 @@ class TestToricIdealAgainstGenericPath:
                 for v in zl.columns(zl.kernel_basis(A))]
         expected = il.saturate(gens, range(len(cols))) if gens else []
         assert il.toric_ideal(A) == expected
+
+
+def mask(*variables):
+    return sum(1 << j for j in variables)
+
+
+def permutohedral_configuration():
+    sigma = cn.cone([[1, 2, 3], [2, 1, 3], [1, 3, 2],
+                     [3, 1, 2], [2, 3, 1], [3, 2, 1]], 3)
+    vectors = sorted(cn.hilbert_basis(sigma.dual()).vectors)
+    return [[v[i] for v in vectors] for i in range(3)]
+
+
+class TestUnitClosure:
+    # x3^2 - x0*x2, x0*x1 - x2, x4 - x0*x5, x0*x1*x2 - x6^3 in 7 variables
+    PAIRS = [((0, 0, 0, 2, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0)),
+             ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0)),
+             ((0, 0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1, 0)),
+             ((1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 3))]
+
+    def test_support_contained_in_the_units_adds_the_other_side(self):
+        # x2 gives x0 and x1 (second pair); then x0*x2 gives x3 (first
+        # pair, a second sweep) and x0*x1*x2 gives x6 (fourth, by the
+        # lead); x0*x5 only meets the units, so x4 stays out
+        assert il._unit_closure(self.PAIRS, mask(2)) == mask(0, 1, 2, 3, 6)
+
+    def test_nothing_grows_from_no_units(self):
+        assert il._unit_closure(self.PAIRS, 0) == 0
+
+    def test_a_binomial_with_a_constant_side(self):
+        assert il._unit_closure([((0, 1, 1), (0, 0, 0))], 0) == mask(1, 2)
+
+    @seed(20261106)
+    @settings(max_examples=25, deadline=None)
+    @given(configurations((2, 2), (4, 6), 0, 3))
+    def test_saturating_a_unit_changes_nothing(self, cols):
+        # after every pass, each variable the closure claims leaves the
+        # ideal unchanged under the generic saturation
+        assume(all(any(c) for c in cols))
+        A = zl.from_columns(cols, rows=len(cols[0]))
+        s = len(cols)
+        pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+                 for v in zl.columns(zl.kernel_basis(A))]
+        assume(pairs)
+        weights = il._positive_grading(A)
+        sat = 0
+        for i in range(s):
+            order = il._SaturationOrder(weights, i)
+            pairs = [il._divide_out(p, i) for p in il._binomial_basis(pairs, order.key)]
+            sat = il._unit_closure(pairs, sat | mask(i))
+            gens = [binomial(a, b) for a, b in pairs]
+            reduced = il.buchberger(gens, GREVLEX)
+            for j in range(s):
+                if sat >> j & 1:
+                    assert il.saturate(gens, [j]) == reduced
+
+
+class TestSaturationPasses:
+    def count_passes(self, monkeypatch, A):
+        calls = []
+        binomial_basis = il._binomial_basis
+
+        def spy(pairs, key):
+            calls.append(len(pairs))
+            return binomial_basis(pairs, key)
+
+        monkeypatch.setattr(il, "_binomial_basis", spy)
+        return il.toric_ideal(A), len(calls)
+
+    def test_permutohedral_configuration(self, monkeypatch):
+        # 15 variables, of which the unit closure leaves three to saturate
+        basis, calls = self.count_passes(monkeypatch, permutohedral_configuration())
+        assert len(basis) == 128
+        assert calls <= 4
+
+    def test_configuration_with_a_large_smith_kernel(self, monkeypatch):
+        # 7 variables, of which the unit closure leaves three to saturate
+        A = [[2, 3, 1, 1, 2, 2, 1], [3, 2, 1, 2, 3, 0, 0], [0, 1, 3, 3, 2, 3, 3]]
+        basis, calls = self.count_passes(monkeypatch, A)
+        assert len(basis) == 22
+        assert calls <= 4
+
+    def test_non_pointed_configuration_takes_one_basis(self, monkeypatch):
+        basis, calls = self.count_passes(monkeypatch, [[1, -1, 2]])
+        assert calls == 1
+        assert [il.format_polynomial(g) for g in basis] == \
+            ["x2*x3 - x1", "x1*x2 - 1", "x1^2 - x3"]
 
 
 class TestBinomialBasis:

@@ -1,11 +1,11 @@
 """Divisors on fans: classes, Cartier data, sections, polytope duality."""
 
 import random
-import time
 import warnings
 from math import inf
 
 import pytest
+from conftest import within
 from hypothesis import given, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -346,10 +346,8 @@ class TestPicardGroupAgainstCokernelChain:
         P = pt.hull([[rng.randint(-6, 6) for _ in range(3)] for _ in range(25)])
         F = fn.normal_fan(P)
         assert (len(F.rays), len(F.maximal_cones)) == (30, 19)
-        start = time.monotonic()
-        pic = dv.picard_group(F)
-        elapsed = time.monotonic() - start
-        assert elapsed < 1, f"took {elapsed:.2f}s, budget 1s"
+        with within(1):
+            pic = dv.picard_group(F)
         # old_picard_group gives the same group after about ten minutes
         assert pic == zl.AbelianGroupPresentation(1)
 

@@ -403,3 +403,57 @@ class TestChartTransition:
         assert sorted(map(tuple, gens)) == [(0, -1), (0, 1), (1, 0)]
         for g, row in zip(gens, rows):
             assert row[-1] == 0
+
+    def test_dual_semigroup_data_is_built_once_per_transition(self, monkeypatch):
+        # one Hilbert basis each for dual(s2), the rows' decompositions
+        # over dual(s1) and separating_character's search, however many
+        # rows there are
+        F = normal_fan(hull([[0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 2],
+                             [1, 1, 1], [2, 3, 2]]))
+        calls = []
+        hilbert_basis = cn.hilbert_basis
+
+        def spy(C):
+            calls.append(C)
+            return hilbert_basis(C)
+
+        monkeypatch.setattr(cn, "hilbert_basis", spy)
+        m, rows = chart_transition(F, 0, 1)
+        assert len(rows) == 9
+        assert len(calls) <= 3
+
+    def test_rows_match_one_decomposition_per_row(self):
+        rng = random.Random(20261018)
+        fans = 0
+        while fans < 12:
+            d = rng.randint(2, 3)
+            P = hull([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + 3)])
+            if not P.is_full_dim:
+                continue
+            F = normal_fan(P)
+            k = len(F.maximal_cones)
+            for _ in range(3):
+                i, j = rng.randrange(k), rng.randrange(k)
+                assert chart_transition(F, i, j) == chart_transition_per_row(F, i, j)
+            fans += 1
+
+
+def chart_transition_per_row(F, index1, index2):
+    """chart_transition as it was before the rows shared the first
+    cone's dual semigroup data: one dual_semigroup_decompose per row."""
+    s1 = F.max_cone(index1)
+    s2 = F.max_cone(index2)
+    m = cn.separating_character(s1, s2)
+    rows = []
+    for h in cn.dual_semigroup_generators(s2):
+        c = 0
+        for g in s1.generators:
+            mg = zl.dot(m, g)
+            hg = zl.dot(h, g)
+            if mg > 0 and hg < 0:
+                c = max(c, (-hg + mg - 1) // mg)
+        coeffs = cn.dual_semigroup_decompose(s1, zl.vadd(h, zl.vscale(c, m)))
+        if coeffs is None:
+            raise AssertionError("transition monomial escaped the source chart")
+        rows.append(list(coeffs) + [c])
+    return m, rows

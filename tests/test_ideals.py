@@ -3,9 +3,9 @@
 from fractions import Fraction
 from math import gcd
 import random
-import time
 
 import pytest
+from conftest import within
 from hypothesis import given, settings, strategies as st
 
 from toric_kernel import ideals as il
@@ -374,7 +374,7 @@ class TestToricIdeal:
         assert il.toric_ideal([[1, 0], [0, 1]]) == []
 
     def test_zero_column_uses_unit(self):
-        # a zero column forces the fallback saturation path
+        # a zero column forces the auxiliary-variable elimination path
         assert fmt(il.toric_ideal([[0, 1], [0, 1]])) == ["x1 - 1"]
 
     def test_nonpointed_configuration(self):
@@ -384,10 +384,8 @@ class TestToricIdeal:
         # the Smith column transform gives this kernel entries up to 114,
         # and Buchberger then ran for about 40 s
         A = [[2, 3, 1, 1, 2, 2, 1], [3, 2, 1, 2, 3, 0, 0], [0, 1, 3, 3, 2, 3, 3]]
-        start = time.monotonic()
-        basis = il.toric_ideal(A)
-        elapsed = time.monotonic() - start
-        assert elapsed < 1, f"took {elapsed:.2f}s, budget 1s"
+        with within(1):
+            basis = il.toric_ideal(A)
         assert len(basis) == 22
 
     @given(st.integers(1, 2).flatmap(

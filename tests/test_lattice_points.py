@@ -10,11 +10,11 @@ bounding box of the vertices of an H-representation, found by solving
 every n-subset of the inequalities.
 """
 
-import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
+from conftest import within
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -245,17 +245,10 @@ THIN = pt.hull([[0, 0, 0, 0], [30, 30, 30, 30],
                 [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
 
 
-def within(seconds, f, *args):
-    start = time.monotonic()
-    out = f(*args)
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
-    return out
-
-
 def test_thin_simplex_is_not_scanned_box_by_box():
     P = pt.hull(THIN.vertices)
-    found = within(0.5, pt.lattice_points, P)
+    with within(0.5):
+        found = pt.lattice_points(P)
     # the 31 points of the long edge and the three unit vertices
     diagonal = [[t] * 4 for t in range(31)]
     assert found == sorted(diagonal + [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
@@ -264,6 +257,7 @@ def test_thin_simplex_is_not_scanned_box_by_box():
 def test_thin_divisor_polyhedron_is_not_scanned_box_by_box():
     F = fn.normal_fan(THIN)
     D = dv.polytope_divisor(THIN, F)
-    sections = within(0.5, dv.global_sections, D)
+    with within(0.5):
+        sections = dv.global_sections(D)
     assert sections == pt.lattice_points(THIN)
     assert len(sections) == 34
