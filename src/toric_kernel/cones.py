@@ -37,14 +37,26 @@ def _independent_rows(cons, n):
 
 
 def _pointed_dual_rays(cons, n, indep=None):
-    """Extreme rays of D = {x : <u, x> >= 0 for u in cons}.
+    """Extreme rays of D = {x : <u, x> >= 0 for u in cons}, sorted.
+
+    Requires the constraint matrix to have rank n, which makes D pointed.
+    """
+    out = _dedupe([v for v, _ in _dual_rays_with_zero_sets(cons, n, indep)])
+    out.sort()
+    return out
+
+
+def _dual_rays_with_zero_sets(cons, n, indep=None):
+    """Pairs (ray, Z): the extreme rays of D = {x : <u, x> >= 0 for u in
+    cons}, each with the bitmask Z of the constraint indices tight on it.
 
     Requires the constraint matrix to have rank n, which makes D pointed.
     Incremental double description: seed with a simplicial cone cut out
     by n independent constraints (``indep``, found here when not given),
     then insert the rest in input order, combining only adjacent ray
     pairs (no third ray's zero set may contain the pair's common zero
-    set).
+    set). A combination of two rays with positive coefficients is tight
+    exactly where both are, so each Z is the exact zero set.
     """
     if n == 0:
         return []
@@ -87,9 +99,7 @@ def _pointed_dual_rays(cons, n, indep=None):
                 w = zl.vadd(zl.vscale(ps, mvec), zl.vscale(-ms, pvec))
                 new.append((zl.primitive(w), T | 1 << k))
         rays = new
-    out = _dedupe([v for v, _ in rays])
-    out.sort()
-    return out
+    return rays
 
 
 def halfspace_generators(constraints, n):
@@ -198,17 +208,24 @@ class Cone:
 
     def rays(self):
         """Primitive generators of the 1-dimensional faces, in the order
-        the corresponding generators were given."""
+        the corresponding generators were given.
+
+        A generator g that is not extreme lies in the relative interior
+        of a face of dimension at least 2, whose extreme rays are other
+        generators tight on every facet normal that g is tight on. An
+        extreme g is the only generator on its line, since the
+        generators are distinct and primitive and the cone is pointed.
+        So g is extreme exactly when no other generator's zero set over
+        the facet normals contains g's.
+        """
         if not self.is_pointed:
             raise ValueError("rays of a non-pointed cone are undefined")
         if self._rays is None:
-            n = self.ambient_dim
-            found = []
-            for g in self.generators:
-                tight = [m for m in self.facet_normals if zl.dot(m, g) == 0]
-                if zl.rank(tight) == n - 1 and g not in found:
-                    found.append(g)
-            self._rays = found
+            zero = [sum(1 << j for j, m in enumerate(self.facet_normals)
+                        if zl.dot(m, g) == 0) for g in self.generators]
+            self._rays = [g for i, g in enumerate(self.generators)
+                          if not any(Z & zero[i] == zero[i]
+                                     for k, Z in enumerate(zero) if k != i)]
         return [list(r) for r in self._rays]
 
     @property

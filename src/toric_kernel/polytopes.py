@@ -10,9 +10,10 @@ cutting out the affine span.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import count
 from math import factorial
 from operator import mul
+from random import Random
 
 from . import cones as cn
 from . import zlattice as zl
@@ -63,11 +64,9 @@ def hull(points) -> LatticePolytope:
     reduce to a positive constant) are dropped, so a single point has no
     facets, only equations.
     """
-    pts = []
-    for p in points:
-        p = [int(x) for x in p]
-        if p not in pts:
-            pts.append(p)
+    # dict keys keep the first-seen order, so the cone's generators do too
+    pts = [list(p) for p in dict.fromkeys(tuple(int(x) for x in p)
+                                          for p in points)]
     if not pts:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])
@@ -239,9 +238,60 @@ def normalized_volume(P: LatticePolytope) -> int:
     return int(v)
 
 
+def _liftings(m):
+    """The fixed sequence of integer liftings of m points that
+    mixed_volume tries: the k-th lifting draws each value from
+    [0, 2^(10 + k)) with its own random.Random(k), so the sequence does
+    not depend on the global random state and widens on each retry."""
+    for k in count():
+        rng = Random(k)
+        yield [rng.randrange(1 << (10 + k)) for _ in range(m)]
+
+
+def _lower_cells(points, omega):
+    """The lower facets of the Cayley points lifted by omega, each as the
+    list of the indices of its points, or None when some lower facet
+    holds more than dim + 1 points (omega is not generic).
+
+    The cone over the lifted points (c, omega(c), 1) plus the upward
+    direction (0, ..., 0, 1, 0) has as facets the lower facets of the
+    lifted polytope, whose normals have a positive lift coordinate, and
+    vertical ones; the upward generator removes every upper facet. It
+    comes first and the points follow in order of their lift, which
+    keeps the double description small.
+    """
+    d = len(points[0])
+    order = sorted(range(len(points)), key=omega.__getitem__)
+    gens = [[0] * d + [1, 0]] + [points[j] + [omega[j], 1] for j in order]
+    cells = []
+    for normal, Z in cn._dual_rays_with_zero_sets(gens, d + 2):
+        if normal[d] <= 0:
+            continue
+        if Z.bit_count() != d + 1:
+            return None
+        cells.append([j for b, j in enumerate(order, 1) if Z >> b & 1])
+    return cells
+
+
 def mixed_volume(polys) -> int:
-    """MV(P_1, ..., P_n) by inclusion-exclusion over Minkowski sums of
-    subsets; the polytope count must match the ambient dimension."""
+    """MV(P_1, ..., P_n) as the total volume of the mixed cells of a fine
+    regular mixed subdivision (Huber-Sturmfels; Emiris-Canny).
+
+    The polytope count must match the ambient dimension n. Vertex a of
+    P_i becomes the Cayley point (e_i, a) in Z^(2n-1), with e_1 = 0 and
+    e_2, ..., e_n the unit vectors of the first n - 1 coordinates. The
+    Cayley polytope has dimension dim(P_1 + ... + P_n) + n - 1, so when
+    it is not full-dimensional the sum is not either and MV is 0.
+    Otherwise an integer lifting from a fixed list (``_liftings``)
+    induces a regular subdivision of the Cayley polytope, read off the
+    lower hull of the lifted points. The lifting is fine when every
+    lower facet holds exactly 2n points, a simplex; if one holds more,
+    the next lifting of the list is tried. By the Cayley trick the
+    simplices with exactly two points a_i, b_i from each P_i are the
+    mixed cells, each contributing |det(b_1 - a_1, ..., b_n - a_n)|.
+    Every fine lifting gives the same sum, so the result does not
+    depend on which lifting of the list succeeds.
+    """
     polys = list(polys)
     if not polys:
         raise ValueError("mixed volume needs at least one polytope")
@@ -250,17 +300,26 @@ def mixed_volume(polys) -> int:
         raise ValueError("ambient dimensions differ")
     if len(polys) != n:
         raise ValueError(f"need exactly {n} polytopes in dimension {n}")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        sign = (-1) ** (n - k)
-        for S in combinations(range(n), k):
-            acc = polys[S[0]]
-            for i in S[1:]:
-                acc = minkowski_sum(acc, polys[i])
-            total += sign * volume(acc)
-    if total.denominator != 1:
-        raise AssertionError("mixed volume must be integral")
-    return int(total)
+    points, owner = [], []
+    for i, Q in enumerate(polys):
+        e = [int(j == i - 1) for j in range(n - 1)]
+        for v in Q.vertices:
+            points.append(e + list(v))
+            owner.append(i)
+    if zl.rank([c + [1] for c in points]) < 2 * n:
+        return 0
+    for omega in _liftings(len(points)):
+        cells = _lower_cells(points, omega)
+        if cells is not None:
+            break
+    total = 0
+    for cell in cells:
+        by_owner = [[] for _ in range(n)]
+        for j in cell:
+            by_owner[owner[j]].append(points[j][n - 1:])
+        if all(len(ab) == 2 for ab in by_owner):
+            total += abs(zl.det([zl.vsub(b, a) for a, b in by_owner]))
+    return total
 
 
 def ehrhart(P: LatticePolytope) -> zl.RationalPolynomial:
