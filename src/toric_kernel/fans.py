@@ -14,8 +14,13 @@ from . import zlattice as zl
 
 
 class Fan:
-    """Validated fan. Construct through fan(); the constructor here
-    trusts its arguments."""
+    """A fan, built in one of two ways. fan() takes rays and cones from
+    outside, primitivizes and deduplicates them, and checks every
+    condition of a fan, pairs of maximal cones included; use it for
+    anything a user supplies. The library's own constructions (normal
+    fans, star subdivisions, products, star quotients) are fans by a
+    theorem and go through _trusted_fan(), which checks nothing. The
+    constructor here trusts its arguments."""
 
     __slots__ = ("ambient_dim", "rays", "maximal_cones", "_max_objs", "_all")
 
@@ -27,6 +32,8 @@ class Fan:
         self._all = None
 
     def max_cone(self, index) -> cn.Cone:
+        if not 0 <= index < len(self._max_objs):
+            raise zl.IndexOutOfRangeError("maximal cone index out of range")
         return self._max_objs[index]
 
     def all_cones(self):
@@ -121,9 +128,23 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
     return Fan(n, prim, sets, objs)
 
 
+def _trusted_fan(rays, maximal_cones, ambient: int) -> Fan:
+    """Fan of distinct primitive rays and maximal cones that the caller
+    knows to form a fan, each cone listing exactly its extremal rays.
+    Nothing is checked; fan() is the validating constructor."""
+    sets = [tuple(sorted(J)) for J in maximal_cones]
+    objs = [cn.cone([rays[i] for i in J], ambient) for J in sets]
+    return Fan(ambient, rays, sets, objs)
+
+
 def normal_fan(P) -> Fan:
     """Fan of inward facet normals; maximal cones indexed by vertices.
-    Requires a full-dimensional polytope."""
+    Requires a full-dimensional polytope.
+
+    The facet normals of a full-dimensional lattice polytope are
+    distinct and primitive, and the normal cone of a vertex has the
+    normals of the facets through it as its rays, so the result is a
+    complete fan without validation (Cox-Little-Schenck, section 2.3)."""
     if not P.is_full_dim:
         raise ValueError("normal fan requires a full-dimensional polytope")
     rays = [list(u) for u, _ in P.facets]
@@ -131,7 +152,7 @@ def normal_fan(P) -> Fan:
     for v in P.vertices:
         maximal.append([i for i, (u, a) in enumerate(P.facets)
                         if zl.dot(u, v) + a == 0])
-    return fan(rays, maximal, P.ambient_dim)
+    return _trusted_fan(rays, maximal, P.ambient_dim)
 
 
 def is_smooth(F: Fan) -> bool:
@@ -155,31 +176,44 @@ def is_complete(F: Fan) -> bool:
 
 def star_subdivision(F: Fan, index: int) -> Fan:
     """Replace the smooth full-dimensional maximal cone at the given
-    position by the cones through the sum of its rays."""
+    position by the cones through the sum of its rays.
+
+    The rays of sigma are a lattice basis, so their sum is primitive,
+    and for n >= 2 it lies in the interior of sigma and is a new ray;
+    for n = 1 it is sigma's own ray and the fan does not change. The
+    result is a fan (Cox-Little-Schenck, section 3.3)."""
     sigma = F.max_cone(index)
     n = F.ambient_dim
     if sigma.dim != n or not sigma.is_smooth:
         raise ValueError("star subdivision needs a smooth full-dimensional cone")
+    if n == 0:
+        raise ValueError("star subdivision needs a cone of positive dimension")
     I = F.maximal_cones[index]
-    u0 = [0] * n
-    for i in I:
-        u0 = zl.vadd(u0, F.rays[i])
-    new_rays = [list(r) for r in F.rays] + [u0]
-    star = len(F.rays)
-    new_max = [list(J) for k, J in enumerate(F.maximal_cones) if k != index]
+    new_rays = [list(r) for r in F.rays]
+    if n == 1:
+        star = I[0]
+    else:
+        u0 = [0] * n
+        for i in I:
+            u0 = zl.vadd(u0, F.rays[i])
+        new_rays.append(u0)
+        star = len(F.rays)
+    new_max = [J for k, J in enumerate(F.maximal_cones) if k != index]
     for i in I:
         new_max.append([x for x in I if x != i] + [star])
-    return fan(new_rays, new_max, n)
+    return _trusted_fan(new_rays, new_max, n)
 
 
 def product_fan(F1: Fan, F2: Fan) -> Fan:
+    """The fan of products sigma1 x sigma2 in the direct sum of the two
+    lattices (Cox-Little-Schenck, section 3.1)."""
     n1, n2 = F1.ambient_dim, F2.ambient_dim
     rays = [list(r) + [0] * n2 for r in F1.rays]
     rays += [[0] * n1 + list(s) for s in F2.rays]
     k = len(F1.rays)
     maximal = [list(I) + [k + j for j in J]
                for I in F1.maximal_cones for J in F2.maximal_cones]
-    return fan(rays, maximal, n1 + n2)
+    return _trusted_fan(rays, maximal, n1 + n2)
 
 
 def cone_containing_relint(F: Fan, u):
@@ -193,7 +227,11 @@ def cone_containing_relint(F: Fan, u):
 
 def star_quotient_fan(F: Fan, tau):
     """Fan of the orbit closure: images of the cones containing tau in
-    the quotient lattice, together with the projection matrix."""
+    the quotient lattice, together with the projection matrix.
+
+    Distinct maximal cones containing tau have distinct pointed images
+    that form a fan (Cox-Little-Schenck, section 3.2), so only the image
+    rays are deduplicated."""
     tau = tuple(sorted(tau))
     if tau not in F.all_cones():
         raise ValueError(f"ray indices {tau} do not name a cone of the fan")
@@ -205,8 +243,7 @@ def star_quotient_fan(F: Fan, tau):
     _, P, _ = zl.snf(L)
     pi = [list(P[i]) for i in range(d, n)]
     if d == n:
-        zero = cn.cone([], 0)
-        return Fan(0, [], [()], [zero]), pi
+        return _trusted_fan([], [()], 0), pi
     new_rays, new_max = [], []
     for I in F.maximal_cones:
         if not set(tau) <= set(I):
@@ -218,7 +255,7 @@ def star_quotient_fan(F: Fan, tau):
                 new_rays.append(r)
             ixs.append(new_rays.index(r))
         new_max.append(ixs)
-    return fan(new_rays, new_max, n - d), pi
+    return _trusted_fan(new_rays, new_max, n - d), pi
 
 
 def orbit_table(F: Fan):

@@ -201,6 +201,16 @@ class TestStarSubdivision:
         with pytest.raises(ValueError):
             star_subdivision(F, 0)
 
+    @pytest.mark.parametrize("index", [-1, 4, 7])
+    def test_cone_index_out_of_range(self, index):
+        # -1 used to subdivide the last cone and keep it in the fan
+        with pytest.raises(zl.IndexOutOfRangeError, match="maximal cone index"):
+            star_subdivision(fan_p1p1(), index)
+
+    def test_rejects_the_zero_cone(self):
+        with pytest.raises(ValueError, match="positive dimension"):
+            star_subdivision(fan([], [[]], 0), 0)
+
 
 class TestProduct:
     def test_p1_times_p1(self):
@@ -394,6 +404,11 @@ class TestChartTransition:
                     for c, g in zip(row[:-1], g1):
                         acc = zl.vadd(acc, zl.vscale(c, g))
                     assert acc == h
+
+    @pytest.mark.parametrize("index1, index2", [(0, -1), (0, 4), (-1, 0), (5, 0)])
+    def test_cone_index_out_of_range(self, index1, index2):
+        with pytest.raises(zl.IndexOutOfRangeError, match="maximal cone index"):
+            chart_transition(fan_chiaramara(), index1, index2)
 
     def test_chart_with_torus_factor(self):
         F = fan([[1, 0]], [[0]], 2)
