@@ -9,7 +9,6 @@ sigma = {x : <m, x> >= 0 for every m in facet_normals}.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import ge
 
 from . import zlattice as zl
@@ -117,27 +116,11 @@ def halfspace_generators(constraints, n):
     if len(indep) == n:
         return [], _pointed_dual_rays(cons, n, indep)
     K = zl._snf_kernel(cons)
-    lin = zl.columns(K)
-    ell = len(lin)
-    _, P, _ = zl.snf(K)
-    pi = [list(P[i]) for i in range(ell, n)]
-    solve = zl.integer_solver(zl.transpose(pi))
-    reduced = []
-    for u in cons:
-        c = solve(u)
-        if c is None:
-            raise ValueError("constraint outside the quotient lattice")
-        reduced.append(c)
-    rays_q = _pointed_dual_rays(reduced, n - ell)
-    Pinv = _unimodular_inverse(P)
-    lifted = [zl.primitive(zl.mat_vec(Pinv, [0] * ell + list(r))) for r in rays_q]
-    return lin, lifted
-
-
-def _unimodular_inverse(P):
-    # the column HNF of a square unimodular matrix is I, so P U = I
-    _, U = zl.hnf(P)
-    return U
+    _, lift = zl.quotient_map(K)
+    # u vanishes on K, so lift^T u is the unique c with pi^T c = u
+    lift_t = zl.transpose(lift)
+    rays_q = _pointed_dual_rays([zl.mat_vec(lift_t, u) for u in cons], len(lift_t))
+    return zl.columns(K), [zl.primitive(zl.mat_vec(lift, r)) for r in rays_q]
 
 
 class Cone:
@@ -156,7 +139,8 @@ class Cone:
             normals.append(list(b))
             normals.append([-x for x in b])
         self.facet_normals = normals
-        self.dim = zl.rank(generators) if generators else 0
+        # the dual's lineality has rank ambient_dim - rank(generators)
+        self.dim = ambient_dim - len(dual_lineality)
         self._pointed = None
         self._rays = None
 
@@ -256,20 +240,24 @@ class Cone:
     def faces(self):
         """The full face lattice, each face as a Cone.
 
-        Every face is the tight set of a subset of facet normals; subsets
-        are enumerated and deduplicated by their tight generator sets.
+        Every face is the set of generators tight on some facet normals.
+        As generator bitmasks these sets are the closure of the full set
+        under intersection with each normal's zero set, so the search
+        visits faces, not subsets of normals.
         """
         n = self.ambient_dim
-        normals = self.facet_normals
-        seen = {}
-        for r in range(len(normals) + 1):
-            for S in combinations(range(len(normals)), r):
-                tight = [g for g in self.generators
-                         if all(zl.dot(normals[i], g) == 0 for i in S)]
-                key = frozenset(tuple(g) for g in tight)
-                if key not in seen:
-                    seen[key] = cone(tight, n)
-        out = list(seen.values())
+        gens = self.generators
+        zero = [sum(1 << i for i, g in enumerate(gens) if zl.dot(m, g) == 0)
+                for m in self.facet_normals]
+        full = (1 << len(gens)) - 1
+        seen, stack = {full}, [full]
+        while stack:
+            F = stack.pop()
+            for G in {F & Z for Z in zero} - seen:
+                seen.add(G)
+                stack.append(G)
+        out = [cone([g for i, g in enumerate(gens) if F >> i & 1], n)
+               for F in seen]
         out.sort(key=lambda c: (c.dim, sorted(tuple(g) for g in c.generators)))
         return out
 
@@ -543,12 +531,10 @@ def _dual_semigroup_data(sigma: Cone):
         return pairs, [], K, None
     if ell == 0:
         return pairs, hilbert_basis(sigma.dual()).vectors, K, None
-    _, P, _ = zl.snf(K)
-    pi = [list(P[i]) for i in range(ell, n)]
+    pi, lift = zl.quotient_map(K)
     proj_rays = [zl.mat_vec(pi, r) for r in sigma.dual_rays]
     inner = hilbert_basis(cone(proj_rays, n - ell))
-    Pinv = _unimodular_inverse(P)
-    lifted = [zl.mat_vec(Pinv, [0] * ell + list(h)) for h in inner.vectors]
+    lifted = [zl.mat_vec(lift, h) for h in inner.vectors]
     return pairs, lifted, K, pi
 
 

@@ -180,28 +180,22 @@ def minimal_cartier_multiple(D: TorusInvariantDivisor):
     """Least l > 0 such that l*D is Cartier, or math.inf when no
     multiple works.
 
-    Per maximal cone, the diagonal of the Smith normal form turns the
-    local system <u_rho, m> = -l*a_rho into divisibility conditions on
-    l; the cone's minimal multiple is their lcm, and the answer is the
-    lcm over all cones. A zero diagonal row with a nonzero right-hand
-    side kills every multiple, which can only happen when the cone is
-    not simplicial.
+    On a maximal cone with ray matrix U, U m = -l*a is solvable exactly
+    when l is a multiple of the order of the class of -a in the cokernel
+    of U. That order is infinite when a free coordinate is nonzero (only
+    on a non-simplicial cone), else the lcm of d / gcd(d, c) over the
+    torsion coordinates c mod d. The answer is the lcm over all cones.
     """
     F = D.fan
     total = 1
     for I in F.maximal_cones:
-        U = [list(F.rays[i]) for i in I]
-        b = [-D.coeffs[i] for i in I]
-        S, P, _ = zl.snf(U)
-        c = zl.mat_vec(P, b)
-        rows, cols = zl.shape(U)
-        for i in range(rows):
-            d = S[i][i] if i < cols else 0
-            if d == 0:
-                if c[i] != 0:
-                    return inf
-            elif c[i] != 0:
-                total = lcm(total, d // gcd(d, c[i]))
+        pres, proj = zl.cokernel([list(F.rays[i]) for i in I])
+        c = zl.cokernel_coords(pres, proj, [-D.coeffs[i] for i in I])
+        k = pres.free_rank
+        if any(c[:k]):
+            return inf
+        for d, x in zip(pres.invariant_factors, c[k:]):
+            total = lcm(total, d // gcd(d, x))
     return total
 
 
@@ -267,7 +261,7 @@ def divisor_polyhedron(D: TorusInvariantDivisor) -> DivisorPolyhedron:
     n = F.ambient_dim
     facets = [(list(u), a) for u, a in zip(F.rays, D.coeffs)]
     spanned = cn.cone(_ray_matrix(F), n)
-    bounded = spanned.dual().dim == 0
+    bounded = not spanned.facet_normals
     points = None
     if bounded:
         # the rays of {(m, t) : <u, m> + a t >= 0, t >= 0} are the

@@ -240,8 +240,7 @@ def star_quotient_fan(F: Fan, tau):
         return F, zl.identity(n)
     L = zl.span_lattice_basis([list(F.rays[i]) for i in tau], n)
     d = zl.shape(L)[1]
-    _, P, _ = zl.snf(L)
-    pi = [list(P[i]) for i in range(d, n)]
+    pi, _ = zl.quotient_map(L)
     if d == n:
         return _trusted_fan([], [()], 0), pi
     new_rays, new_max = [], []

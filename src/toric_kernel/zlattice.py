@@ -413,6 +413,18 @@ def cokernel(M: Matrix) -> tuple[AbelianGroupPresentation, Matrix]:
     return pres, proj
 
 
+def quotient_map(K: Matrix) -> tuple[Matrix, Matrix]:
+    """(pi, lift) for the saturated sublattice spanned by the columns of
+    the n x ell matrix K: pi is the last n - ell rows of the Smith row
+    transform P of K, so pi K = 0 and pi maps Z^n onto Z^(n - ell), and
+    lift is the last n - ell columns of P^-1, so pi lift = I.
+    """
+    n, ell = shape(K)
+    _, P, _ = snf(K)
+    _, Pinv = hnf(P)        # the column HNF of a unimodular P is I
+    return [list(P[i]) for i in range(ell, n)], [row[ell:] for row in Pinv]
+
+
 def cokernel_coords(pres: AbelianGroupPresentation, proj: Matrix, v: list) -> list:
     """Canonical coordinates of the class of v in a cokernel presentation."""
     w = mat_vec(proj, v) if proj else []

@@ -2,7 +2,7 @@
 
 import random
 import warnings
-from math import inf
+from math import gcd, inf, lcm
 
 import pytest
 from conftest import within
@@ -197,6 +197,45 @@ class TestMinimalCartierMultiple:
                          [[0, 1, 2, 3]], 3)
         assert dv.minimal_cartier_multiple(dv.ray_divisor(pyramid, 0)) == inf
         assert not dv.is_cartier(dv.ray_divisor(pyramid, 0))
+
+
+def old_minimal_cartier_multiple(D):
+    """The Smith-diagonal walk that minimal_cartier_multiple replaced,
+    kept verbatim as a differential oracle."""
+    F = D.fan
+    total = 1
+    for I in F.maximal_cones:
+        U = [list(F.rays[i]) for i in I]
+        b = [-D.coeffs[i] for i in I]
+        S, P, _ = zl.snf(U)
+        c = zl.mat_vec(P, b)
+        rows, cols = zl.shape(U)
+        for i in range(rows):
+            d = S[i][i] if i < cols else 0
+            if d == 0:
+                if c[i] != 0:
+                    return inf
+            elif c[i] != 0:
+                total = lcm(total, d // gcd(d, c[i]))
+    return total
+
+
+class TestMinimalCartierMultipleAgainstSmithWalk:
+    def test_matches_old_walk_on_random_normal_fans(self):
+        rng = random.Random(20261111)
+        found = []
+        for _ in range(60):
+            n = rng.choice([2, 3, 3])
+            F = random_normal_fan(rng, n, rng.randint(n + 1, 7), 6 - n)
+            for _ in range(5):
+                d = dv.divisor(F, [rng.randint(-4, 4) for _ in F.rays])
+                expected = old_minimal_cartier_multiple(d)
+                assert dv.minimal_cartier_multiple(d) == expected, (F.rays, d.coeffs)
+                found.append(expected)
+        # the draw reaches all three outcomes, not just Cartier divisors
+        assert sum(1 for m in found if m == inf) >= 30
+        assert sum(1 for m in found if m != inf and m > 1) >= 30
+        assert 1 in found
 
 
 class TestPicardGroup:

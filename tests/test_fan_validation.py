@@ -85,7 +85,7 @@ def old_halfspace_generators(constraints, n):
             raise ValueError("constraint outside the quotient lattice")
         reduced.append(c)
     rays_q = cn._pointed_dual_rays(reduced, n - ell)
-    Pinv = cn._unimodular_inverse(P)
+    Pinv = zl.hnf(P)[1]
     lifted = [zl.primitive(zl.mat_vec(Pinv, [0] * ell + list(r))) for r in rays_q]
     return lin, lifted
 

@@ -1,10 +1,12 @@
 """Integer linear algebra: normal forms, kernels, cokernels, solving."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
 
@@ -148,6 +150,35 @@ class TestKernel:
         assert max(abs(x) for row in K for x in row) <= 20
 
 
+class TestQuotientMap:
+    @seed(20261113)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 max_size=n + 1))))
+    @example((3, []))
+    @example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @example((2, [[3, 5], [1, 2]]))
+    @example((0, []))
+    def test_splits_off_the_saturated_span(self, case):
+        n, vectors = case
+        K = zl.span_lattice_basis(vectors, n)
+        ell = zl.shape(K)[1]
+        pi, lift = zl.quotient_map(K)
+        assert len(pi) == n - ell and all(len(row) == n for row in pi)
+        assert len(lift) == n and all(len(row) == n - ell for row in lift)
+        # pi K = 0 and pi lift = I, by dot products so that the empty
+        # shapes at ell = 0 and ell = n need no special case
+        assert [[zl.dot(p, k) for k in zl.columns(K)] for p in pi] == \
+            zl.zeros(n - ell, ell)
+        assert [[zl.dot(p, c) for c in zl.columns(lift)] for p in pi] == \
+            zl.identity(n - ell)
+        # together the columns of K and of lift are a basis of Z^n
+        if n:
+            assert is_unimodular([k + c for k, c in zip(K, lift)])
+
+
 class TestCokernel:
     def test_p2(self):
         Ft = [[1, 0], [0, 1], [-1, -1]]
@@ -264,3 +295,21 @@ class TestInterpolate:
         p = zl.interpolate(pts)
         for x, y in pts:
             assert p.evaluate(x) == y
+
+
+def test_only_zlattice_calls_snf():
+    """Every other module reaches the Smith transform through a zlattice
+    routine (quotient_map, cokernel, snf_diagonal, ...), so a new Smith
+    engine has to change zlattice alone."""
+    package = Path(zl.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "zlattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "snf"):
+                callers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(a.name == "snf" for a in node.names):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
