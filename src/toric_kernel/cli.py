@@ -38,6 +38,7 @@ a documented deterministic order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from math import inf
@@ -81,16 +82,25 @@ def _get(node, key, path):
     return node[key]
 
 
-def read_int(node, path) -> int:
-    if isinstance(node, bool):
-        raise SchemaError("expected an integer or a decimal string", path)
-    if isinstance(node, int):
-        return node
-    if isinstance(node, str):
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(s: str):
+    """The int an ASCII decimal string spells, else None; int() alone also
+    takes underscores, surrounding whitespace and non-ASCII digits."""
+    if _DECIMAL.fullmatch(s):
         try:
-            return int(node, 10)
-        except ValueError:
+            return int(s)
+        except ValueError:     # past int()'s digit limit
             pass
+    return None
+
+
+def read_int(node, path) -> int:
+    if isinstance(node, int) and not isinstance(node, bool):
+        return node
+    if isinstance(node, str) and (n := _decimal(node)) is not None:
+        return n
     raise SchemaError("expected an integer or a decimal string", path)
 
 
@@ -98,13 +108,10 @@ def read_rational(node, path) -> Fraction:
     if isinstance(node, int) and not isinstance(node, bool):
         return Fraction(node)
     if isinstance(node, str):
-        num, _, den = node.partition("/")
-        try:
-            if den:
-                return Fraction(int(num, 10), int(den, 10))
-            return Fraction(int(num, 10))
-        except (ValueError, ZeroDivisionError):
-            pass
+        num, slash, den = node.partition("/")
+        p, q = _decimal(num), _decimal(den) if slash else 1
+        if p is not None and q:
+            return Fraction(p, q)
     raise SchemaError("expected a rational 'p/q' string or an integer", path)
 
 

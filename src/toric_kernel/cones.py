@@ -104,10 +104,10 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
 def halfspace_generators(constraints, n):
     """Generators of {x : <u, x> >= 0 for all u in constraints}.
 
-    Returns (lineality_basis, rays): a saturated lattice basis of the
-    lineality space and the extreme rays of the pointed part, the rays
-    written with zero coordinates along the lineality directions of the
-    chosen unimodular splitting.
+    Returns (lineality_basis, rays): the saturated lattice basis of the
+    lineality space that ``zl.kernel_basis`` reads off the column HNF of
+    the constraints, and the extreme rays of the pointed part, lifted
+    from the quotient by ``zl.quotient_map``'s lift.
     """
     cons = [list(u) for u in constraints if any(u)]
     if not cons:
@@ -115,7 +115,7 @@ def halfspace_generators(constraints, n):
     indep = _independent_rows(cons, n)
     if len(indep) == n:
         return [], _pointed_dual_rays(cons, n, indep)
-    K = zl._snf_kernel(cons)
+    K = zl.kernel_basis(cons)
     _, lift = zl.quotient_map(K)
     # u vanishes on K, so lift^T u is the unique c with pi^T c = u
     lift_t = zl.transpose(lift)

@@ -288,7 +288,8 @@ def is_compatible(Fmat, F1: Fan, F2: Fan) -> bool:
     """Every cone image F(sigma1) must land inside some cone of F2."""
     _check_map(Fmat, F1.ambient_dim, F2.ambient_dim)
     for c in F1._max_objs:
-        img = [zl.mat_vec(Fmat, g) for g in c.generators]
+        # row by row, so that a map into Z^0 (no rows) sends g to []
+        img = [[zl.dot(row, g) for row in Fmat] for g in c.generators]
         if not any(all(c2.contains(v) for v in img) for c2 in F2._max_objs):
             return False
     return True
@@ -298,7 +299,7 @@ def image_cone(Fmat, F2: Fan, sigma1: cn.Cone):
     """Ray-index tuple of the minimal cone of F2 containing the image
     of sigma1, or None when no cone contains it."""
     _check_map(Fmat, sigma1.ambient_dim, F2.ambient_dim)
-    img = [zl.mat_vec(Fmat, g) for g in sigma1.generators]
+    img = [[zl.dot(row, g) for row in Fmat] for g in sigma1.generators]
     candidates = [I for I, c in F2.all_cones().items()
                   if all(c.contains(v) for v in img)]
     if not candidates:

@@ -135,121 +135,14 @@ def _check_nvars(nvars: int, polys):
         raise ValueError("variable count mismatch")
 
 
-class SparsePolynomial:
-    """Polynomial with Fraction coefficients keyed by exponent tuple.
-
-    The term dict never stores a zero coefficient. Instances are treated
-    as immutable; arithmetic returns new objects.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else (terms or ())
-        for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise ValueError("exponent length does not match variable count")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in a polynomial monomial")
-            c = clean.get(exps, 0) + Fraction(coeff)
-            if c:
-                clean[exps] = c
-            else:
-                clean.pop(exps, None)
-        self.terms = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def leading(self, order: MonomialOrder):
-        """(exponent, coefficient) of the largest term under the order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val *= Fraction(x) ** e
-            total += val
-        return total
-
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return SparsePolynomial(self.nvars, terms)
-
-    def __neg__(self):
-        return SparsePolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SparsePolynomial):
-            if self.nvars != other.nvars:
-                raise ValueError("variable count mismatch")
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = _mono_mul(e1, e2)
-                    s = terms.get(e, 0) + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        terms.pop(e, None)
-            return SparsePolynomial(self.nvars, terms)
-        c = Fraction(other)
-        return SparsePolynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, SparsePolynomial)
-                and self.nvars == other.nvars and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SparsePolynomial({self.nvars}, {format_polynomial(self)!r})"
-
-
-def monomial(nvars: int, exps, coeff=1) -> SparsePolynomial:
-    return SparsePolynomial(nvars, {tuple(exps): Fraction(coeff)})
-
-
-def constant(nvars: int, coeff) -> SparsePolynomial:
-    return SparsePolynomial(nvars, {(0,) * nvars: Fraction(coeff)})
-
-
 class LaurentPolynomial:
-    """Finite sum of rational multiples of t^m with m any integer vector."""
+    """Finite sum of rational multiples of t^m with m any integer vector.
+
+    Fraction coefficients are keyed by exponent tuple, and the term dict
+    never stores a zero coefficient. Instances are treated as immutable;
+    arithmetic returns new objects of the operands' class, and objects
+    of two different classes are never equal.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -288,8 +181,26 @@ class LaurentPolynomial:
             total += val
         return total
 
+    def __add__(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        return type(self)(self.nvars, terms)
+
+    def __neg__(self):
+        return type(self)(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
     def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
+        if type(other) is type(self):
             if self.nvars != other.nvars:
                 raise ValueError("variable count mismatch")
             terms = {}
@@ -301,35 +212,58 @@ class LaurentPolynomial:
                         terms[e] = s
                     else:
                         terms.pop(e, None)
-            return LaurentPolynomial(self.nvars, terms)
-        c = Fraction(other)
-        return LaurentPolynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return type(self)(self.nvars, terms)
+        c = Fraction(other)    # a TypeError for a polynomial of the other class
+        return type(self)(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return LaurentPolynomial(self.nvars, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __eq__(self, other):
-        return (isinstance(other, LaurentPolynomial)
+        return (type(other) is type(self)
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     __hash__ = None
 
     def __repr__(self):
         return f"LaurentPolynomial({self.nvars}, {sorted(self.terms.items())})"
+
+
+class SparsePolynomial(LaurentPolynomial):
+    """Polynomial: a Laurent polynomial with nonnegative exponents."""
+
+    __slots__ = ()
+
+    def __init__(self, nvars: int, terms=None):
+        super().__init__(nvars, terms)
+        if any(e < 0 for exps in self.terms for e in exps):
+            raise ValueError("negative exponent in a polynomial monomial")
+
+    def leading(self, order: MonomialOrder):
+        """(exponent, coefficient) of the largest term under the order."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading term")
+        e = max(self.terms, key=order.key)
+        return e, self.terms[e]
+
+    def total_degree(self) -> int:
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        degs = {sum(e) for e in self.terms}
+        return len(degs) <= 1
+
+    def __repr__(self):
+        return f"SparsePolynomial({self.nvars}, {format_polynomial(self)!r})"
+
+
+def monomial(nvars: int, exps, coeff=1) -> SparsePolynomial:
+    return SparsePolynomial(nvars, {tuple(exps): Fraction(coeff)})
+
+
+def constant(nvars: int, coeff) -> SparsePolynomial:
+    return SparsePolynomial(nvars, {(0,) * nvars: Fraction(coeff)})
 
 
 # ---------------------------------------------------------------------------

@@ -325,21 +325,6 @@ def kernel_basis(M: Matrix) -> Matrix:
     return [row[rank:] for row in U]
 
 
-def _snf_kernel(M: Matrix) -> Matrix:
-    """kernel_basis read off the Smith column transform instead.
-
-    Its basis reaches stdout: the lineality of ``cone dual`` and the
-    equations of ``polytope facets`` (through cones.halfspace_generators),
-    and the embedding of ``polytope project-full`` and the projection of
-    ``fan star-quotient`` (through span_lattice_basis). Those bytes are
-    pinned, so these callers keep this basis.
-    """
-    rows, cols = shape(M)
-    S, _, Q = snf(M)
-    rank = sum(1 for i in range(min(rows, cols)) if S[i][i] != 0)
-    return [[Q[i][j] for j in range(rank, cols)] for i in range(cols)]
-
-
 class AbelianGroupPresentation:
     """A finitely generated abelian group Z^free_rank + sum Z/d_i.
 
@@ -414,15 +399,16 @@ def cokernel(M: Matrix) -> tuple[AbelianGroupPresentation, Matrix]:
 
 
 def quotient_map(K: Matrix) -> tuple[Matrix, Matrix]:
-    """(pi, lift) for the saturated sublattice spanned by the columns of
-    the n x ell matrix K: pi is the last n - ell rows of the Smith row
-    transform P of K, so pi K = 0 and pi maps Z^n onto Z^(n - ell), and
-    lift is the last n - ell columns of P^-1, so pi lift = I.
+    """(pi, lift) for the saturated sublattice spanned by the independent
+    columns of the n x ell matrix K, from the column HNF K^T U = [H | 0]
+    with U unimodular: the rows of pi are the last n - ell columns of U,
+    so pi K = 0 and pi maps Z^n onto Z^(n - ell), and the columns of
+    lift are the last n - ell rows of U^-1, so pi lift = I.
     """
     n, ell = shape(K)
-    _, P, _ = snf(K)
-    _, Pinv = hnf(P)        # the column HNF of a unimodular P is I
-    return [list(P[i]) for i in range(ell, n)], [row[ell:] for row in Pinv]
+    U = hnf(transpose(K))[1] if ell else identity(n)
+    _, Uinv = hnf(U)        # the column HNF of a unimodular U is I
+    return columns(U)[ell:], [col[ell:] for col in columns(Uinv)]
 
 
 def cokernel_coords(pres: AbelianGroupPresentation, proj: Matrix, v: list) -> list:
@@ -594,7 +580,8 @@ class RowEchelon:
 
 
 def span_lattice_basis(vectors: list, n: int) -> Matrix:
-    """Columns: a basis of (R-span of the vectors) cap Z^n.
+    """Columns: a basis of (R-span of the vectors) cap Z^n, the kernel of
+    the kernel of the vectors, both from the column HNF.
 
     The resulting lattice is saturated, so integer vectors in the span
     have integer coordinates in this basis.
@@ -602,11 +589,10 @@ def span_lattice_basis(vectors: list, n: int) -> Matrix:
     rows = [list(v) for v in vectors if any(v)]
     if not rows:
         return [[] for _ in range(n)]
-    K = _snf_kernel(rows)         # orthogonal complement lattice
-    _, k = shape(K)
-    if k == 0:
+    K = kernel_basis(rows)        # orthogonal complement lattice
+    if not K[0]:
         return identity(n)
-    return _snf_kernel(transpose(K))
+    return kernel_basis(transpose(K))
 
 
 def det(M: Matrix) -> int:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import toric_kernel.cli as cli
+from toric_kernel import cones as cn
 from toric_kernel import zlattice as zl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -254,6 +255,27 @@ class TestSchemaErrors:
                            {"f": {"terms": [{"exp": [1], "coeff": "1/0"}]},
                             "generators": []})
         assert doc["path"] == "/payload/f/terms/0/coeff"
+
+    @pytest.mark.parametrize("text", ["1_0", " 3 ", "3\n", "\u0663", "+", "0x1", "1e3", ""])
+    def test_integer_string_is_ascii_decimal(self, capsys, text):
+        doc = schema_error(capsys, "cone dual", {"generators": [[1, text]]})
+        assert doc["path"] == "/payload/generators/0/1"
+
+    @pytest.mark.parametrize("text", ["1/", "/2", "1/2/3", "1_0/3", " 1/2", "1/ 2",
+                                      "\u0661/2", "1/0"])
+    def test_rational_string_is_two_ascii_decimals(self, capsys, text):
+        doc = schema_error(capsys, "ideal member",
+                           {"f": {"terms": [{"exp": [1], "coeff": text}]},
+                            "generators": []})
+        assert doc["path"] == "/payload/f/terms/0/coeff"
+
+    def test_signed_decimal_strings_accepted(self, capsys):
+        doc = call(capsys, "cone dual", {"generators": [["+1", "-0"], ["-0", "007"]]})
+        assert doc["generators"] == [["0", "1"], ["1", "0"]]
+        doc = call(capsys, "ideal member",
+                   {"f": {"terms": [{"exp": [1], "coeff": "-6/+4"}]},
+                    "generators": [{"terms": [{"exp": [1], "coeff": "+3"}]}]})
+        assert doc["value"] is True
 
     def test_ray_index_zero_is_out_of_range(self, capsys):
         doc = schema_error(capsys, "fan validate",
@@ -501,6 +523,12 @@ class TestFanCommands:
         assert doc["fan"]["rays"] == [["1"], ["-1"]]
         assert doc["projection"] == [["0", "1"]]
 
+    def test_map_into_the_zero_lattice_is_compatible(self, capsys):
+        doc = call(capsys, "fan compatible",
+                   {"map": [], "source": P1,
+                    "target": {"rays": [], "max_cones": [[]], "ambient": 0}})
+        assert doc["value"] is True
+
 
 class TestIdealAndDivisorCommands:
     def test_membership(self, capsys):
@@ -548,38 +576,100 @@ class TestCoxCommands:
         assert doc["path"] == "/payload/exponents"
 
 
-# Outputs that print a lattice basis chosen by a unimodular transform:
-# the lineality of a non-pointed dual, the equations of a lower
-# dimensional polytope, the embedding of project-full and the projection
-# of star-quotient. Any other valid basis would be correct too, so only
-# these pins keep the printed bytes from changing with the kernel routine.
+def ints(m):
+    return [[int(x) for x in row] for row in m]
+
+
+def dual_is_generated(payload, doc):
+    # the generators span the dual cone, and the ones orthogonal to the
+    # cone come in +/- pairs that span the saturated lattice sigma-perp
+    G = payload["generators"]
+    n = len(G[0])
+    gens = ints(doc["generators"])
+    assert cn.cone(gens, n) == cn.cone(G, n).dual()
+    lin = [u for u in gens if not any(zl.dot(u, g) for g in G)]
+    assert sorted(lin) == sorted([-x for x in u] for u in lin)
+    perp = zl.kernel_basis(G)
+    assert zl.lattice_index(zl.from_columns(lin, rows=n), perp) == 1
+    assert zl.lattice_index(perp, zl.from_columns(lin, rows=n)) == 1
+
+
+def facets_cut_out_the_polytope(payload, doc):
+    # the equation normals are a basis of the saturated lattice of normals
+    # to the affine span; each inequality holds and is tight on a vertex
+    V = payload["points"]
+    eqs = [(ints([h["normal"]])[0], int(h["offset"])) for h in doc["equations"]]
+    ineqs = [(ints([h["normal"]])[0], int(h["offset"])) for h in doc["inequalities"]]
+    assert all(zl.dot(a, v) + b == 0 for a, b in eqs for v in V)
+    assert all(min(zl.dot(a, v) + b for v in V) == 0 for a, b in ineqs)
+    normals = zl.from_columns([a for a, _ in eqs], rows=len(V[0]))
+    perp = zl.kernel_basis([zl.vsub(v, V[0]) for v in V[1:]])
+    assert zl.lattice_index(normals, perp) == 1
+
+
+def embedding_gives_back_the_vertices(payload, doc):
+    # x0 + L y runs over the vertices, and L has all invariant factors 1,
+    # so it is a basis of the saturated lattice of the affine span
+    x0, L = [int(x) for x in doc["origin"]], ints(doc["embedding"])
+    images = {tuple(zl.vadd(x0, zl.mat_vec(L, y))) for y in ints(doc["vertices"])}
+    assert images == {tuple(v) for v in payload["points"]}
+    assert zl.snf_diagonal(L) == [1] * zl.shape(L)[1]
+
+
+def projection_kills_the_cone(payload, doc):
+    # pi maps Z^n onto the quotient by the span of tau, and every image
+    # ray is the primitive image of a ray of a cone that contains tau
+    F = payload["fan"]
+    tau = [i - 1 for i in payload["cone"]]
+    pi = ints(doc["projection"])
+    assert all(zl.mat_vec(pi, F["rays"][i]) == [0] * len(pi) for i in tau)
+    assert zl.snf_diagonal(pi) == [1] * len(pi)
+    star = [I for I in F["max_cones"] if {i + 1 for i in tau} <= set(I)]
+    images = {tuple(zl.primitive(zl.mat_vec(pi, F["rays"][i - 1])))
+              for I in star for i in I if i - 1 not in tau}
+    assert {tuple(r) for r in ints(doc["fan"]["rays"])} <= images
+    assert len(doc["fan"]["max_cones"]) == len(star)
+
+
+# Outputs that print a lattice basis, read off the column HNF: the
+# lineality of a non-pointed dual, the equations of a lower dimensional
+# polytope, the embedding of project-full and the projection of
+# star-quotient. Any other valid basis would be correct too, so each pin
+# comes with a check of what makes it valid, and the pins keep the
+# printed bytes from changing unnoticed with the kernel routine.
 PRINTED_BASES = [
     pytest.param("cone dual",
                  {"generators": [[-2, 3, -2]]},
-                 '{"generators":[["-3","-2","0"],["-2","-2","-1"],["1","1","0"],["2","2","1"],["3","2","0"]],"schema":1}',
+                 '{"generators":[["-3","-2","0"],["-1","0","1"],["1","0","-1"],["1","1","0"],["3","2","0"]],"schema":1}',
+                 dual_is_generated,
                  id="cone-dual-ray-in-z3"),
     pytest.param("cone dual",
                  {"generators": [[0, 0, 1, -2], [-4, 3, 4, 0]]},
-                 '{"generators":[["-8","-8","-2","-1"],["-3","-4","0","0"],["-1","-1","0","0"],["3","4","0","0"],["4","4","1","0"],["8","8","2","1"]],"schema":1}',
+                 '{"generators":[["-3","-4","0","0"],["-1","-4","2","1"],["-1","-1","0","0"],["1","4","-2","-1"],["3","4","0","0"],["4","4","1","0"]],"schema":1}',
+                 dual_is_generated,
                  id="cone-dual-plane-cone-in-z4"),
     pytest.param("polytope facets",
                  {"points": [[1, -2, 0], [-1, 2, -3]]},
-                 '{"equations":[{"normal":["-3","0","2"],"offset":"3"},{"normal":["2","1","0"],"offset":"0"}],"inequalities":[{"normal":["-1","0","1"],"offset":"2"},{"normal":["1","0","-1"],"offset":"-1"}],"schema":1,"vertices":[["-1","2","-3"],["1","-2","0"]]}',
+                 '{"equations":[{"normal":["2","1","0"],"offset":"0"},{"normal":["3","0","-2"],"offset":"-3"}],"inequalities":[{"normal":["-2","0","1"],"offset":"2"},{"normal":["2","0","-1"],"offset":"-1"}],"schema":1,"vertices":[["-1","2","-3"],["1","-2","0"]]}',
+                 facets_cut_out_the_polytope,
                  id="facets-of-a-segment-in-z3"),
     pytest.param("polytope project-full",
                  {"points": [[3, 2, -4], [-3, -2, 2], [-3, 0, -1]]},
-                 '{"embedding":[["0","1"],["2","0"],["-3","0"]],"origin":["-3","-2","2"],"schema":1,"vertices":[["0","0"],["1","0"],["2","6"]]}',
+                 '{"embedding":[["1","0"],["0","-2"],["0","3"]],"origin":["-3","-2","2"],"schema":1,"vertices":[["0","-1"],["0","0"],["6","-2"]]}',
+                 embedding_gives_back_the_vertices,
                  id="project-full-of-a-triangle-in-z3"),
     pytest.param("fan star-quotient",
                  {"fan": {"rays": [[-8, -5, -4], [-1, 0, -3], [0, -1, 0], [1, 1, 1], [3, 0, 1]], "max_cones": [[2, 4, 5], [1, 2, 3, 5], [3, 4, 5], [1, 3, 4], [1, 2, 4]]}, "cone": [1]},
-                 '{"fan":{"ambient":"2","max_cones":[["1","2"],["2","3"],["1","3"]],"rays":[["-3","-5"],["1","2"],["1","1"]]},"projection":[["0","-4","5"],["1","-8","8"]],"schema":1}',
+                 '{"fan":{"ambient":"2","max_cones":[["1","2"],["2","3"],["1","3"]],"rays":[["1","-3"],["0","1"],["-1","1"]]},"projection":[["1","0","-2"],["0","-4","5"]],"schema":1}',
+                 projection_kills_the_cone,
                  id="star-quotient-at-a-skew-ray"),
 ]
 
 
-@pytest.mark.parametrize("command,payload,expected", PRINTED_BASES)
-def test_printed_basis_is_pinned(capsys, command, payload, expected):
+@pytest.mark.parametrize("command,payload,expected,check", PRINTED_BASES)
+def test_printed_basis_is_pinned(capsys, command, payload, expected, check):
     request = {"schema": 1, "command": command, "payload": payload}
     code, out = run(capsys, command.split(), json.dumps(request))
     assert code == 0, out
+    check(payload, json.loads(out))
     assert out == expected + "\n"

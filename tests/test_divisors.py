@@ -5,7 +5,7 @@ import warnings
 from math import gcd, inf, lcm
 
 import pytest
-from conftest import within
+from conftest import snf_kernel, within
 from hypothesis import given, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -283,7 +283,7 @@ def old_picard_group(F):
                 row[k + t] = -d
                 t += 1
             W.append(row)
-        K = zl._snf_kernel(W)
+        K = snf_kernel(W)
         gens = [K[i] for i in range(k)]
     else:
         gens = zl.identity(k)

@@ -343,6 +343,15 @@ class TestCompatibility:
         with pytest.raises(ValueError):
             is_compatible([[1, 0, 0]], fan_hirzebruch2(), fan_p1())
 
+    def test_map_into_the_zero_lattice(self):
+        # the 0-row map sends every cone to 0, which is the zero cone
+        point = fan([], [()], 0)
+        H = fan_hirzebruch2()
+        assert is_compatible([], H, point)
+        for I in H.maximal_cones:
+            assert image_cone([], point, H.cone_of(I)) == ()
+
+
 
 class TestRefinement:
     def test_basic(self):

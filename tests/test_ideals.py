@@ -151,6 +151,52 @@ class TestLaurentPolynomial:
         assert (t + tinv) - t == tinv
 
 
+class TestTwoPolynomialClasses:
+    """SparsePolynomial and LaurentPolynomial share one implementation,
+    but stay two classes that never mix."""
+
+    def test_never_equal_across_classes(self):
+        s = SparsePolynomial(1, {(1,): 1})
+        t = il.LaurentPolynomial(1, {(1,): 1})
+        assert s != t and t != s
+        assert s == SparsePolynomial(1, {(1,): 1})
+        assert t == il.LaurentPolynomial(1, {(1,): 1})
+
+    def test_product_across_classes_is_a_type_error(self):
+        s = SparsePolynomial(1, {(1,): 1})
+        t = il.LaurentPolynomial(1, {(1,): 1})
+        with pytest.raises(TypeError):
+            s * t
+        with pytest.raises(TypeError):
+            t * s
+
+    def test_arithmetic_keeps_the_class(self):
+        s = SparsePolynomial(1, {(1,): 1})
+        t = il.LaurentPolynomial(1, {(-1,): 1})
+        for f in (s, t):
+            for g in (f + f, f - f, f * f, 2 * f, f * Fraction(1, 2)):
+                assert type(g) is type(f)
+
+    def test_reprs(self):
+        assert repr(poly(2, ((2, 0), 1), ((0, 1), -1))) == \
+            "SparsePolynomial(2, 'x1^2 - x2')"
+        assert repr(il.LaurentPolynomial(1, {(-1,): 2, (0,): 1})) == \
+            "LaurentPolynomial(1, [((-1,), Fraction(2, 1)), ((0,), Fraction(1, 1))])"
+
+    def test_names_the_tracer_leaves_unwrapped_exist(self):
+        import importlib.util
+        from pathlib import Path
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for name in tracing.EXCLUDED:
+            layer, _, attr = name.partition(".")
+            obj = tracing.LAYERS[layer]
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+
+
 class TestNormalForm:
     def test_member_reduces_to_zero(self):
         f = poly(1, ((2,), 1), ((0,), -1))

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import snf_kernel
 from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
@@ -135,7 +136,7 @@ class TestKernel:
     @given(small_matrices)
     @settings(max_examples=100)
     def test_same_lattice_as_the_smith_kernel(self, M):
-        K, S = zl.kernel_basis(M), zl._snf_kernel(M)
+        K, S = zl.kernel_basis(M), snf_kernel(M)
         assert zl.shape(K) == zl.shape(S)
         for col in zl.columns(S):
             assert zl.solve_integer(K, col) is not None
@@ -299,8 +300,10 @@ class TestInterpolate:
 
 def test_only_zlattice_calls_snf():
     """Every other module reaches the Smith transform through a zlattice
-    routine (quotient_map, cokernel, snf_diagonal, ...), so a new Smith
-    engine has to change zlattice alone."""
+    routine (cokernel or snf_diagonal), so a new Smith engine has to
+    change zlattice alone. Inside zlattice only those two call snf, and
+    neither keeps its column transform Q: every kernel and sublattice
+    split comes from the column HNF."""
     package = Path(zl.__file__).parent
     callers = []
     for path in sorted(package.glob("*.py")):
@@ -313,3 +316,17 @@ def test_only_zlattice_calls_snf():
             if isinstance(node, ast.ImportFrom) and any(a.name == "snf" for a in node.names):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+    calls, q_names = {}, []
+    for fn in ast.walk(ast.parse(Path(zl.__file__).read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "snf"):
+                calls[fn.name] = calls.get(fn.name, 0) + 1
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "snf"):
+                q_names.append(node.targets[0].elts[2].id)
+    assert calls == {"cokernel": 1, "snf_diagonal": 1}
+    assert q_names == ["_", "_"]
