@@ -265,14 +265,28 @@ def read_sparse(node, path) -> il.SparsePolynomial:
 
 # -- result writers ------------------------------------------------------
 
+def _digits(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str digit
+    limit: numbers of more than 2,000 bits (602 digits, under the lowest
+    limit that can be set) are split by divmod by 10^k, k about half the
+    digit count, and the low half is zero-padded to k digits."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    k = n.bit_length() * 3 // 20
+    hi, lo = divmod(n, 10 ** k)
+    return _digits(hi) + _digits(lo).zfill(k)
+
+
 def w_int(x) -> str:
-    return str(int(x))
+    return _digits(int(x))
 
 
 def w_rat(q) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def w_vec(v) -> list:

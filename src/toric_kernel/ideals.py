@@ -15,11 +15,12 @@ adjoining one auxiliary variable t together with t * prod - 1 and
 discarding every basis element whose leading term still involves t.
 
 Two Buchberger engines share one pair routine (``_pair_loop``), which
-sees only leading monomials. ``buchberger`` works on term dicts with
-Fraction coefficients and serves every ideal. ``_binomial_basis`` serves
-``toric_ideal``: there every basis element is a pure difference binomial
-x^lead - x^tail, kept as the pair (lead, tail) of exponent tuples, and
-reduction rewrites one monomial at a time
+sees only leading monomials. ``buchberger`` serves every ideal on
+primitive integer term dicts, fraction-free (Becker-Weispfenning,
+*Groebner Bases*, 10.1); only its output is made monic. ``_binomial_basis``
+serves ``toric_ideal``: there every basis element is a pure difference
+binomial x^lead - x^tail, kept as the pair (lead, tail) of exponent
+tuples, and reduction rewrites one monomial at a time
 (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 12).
 
 Divisibility tests between exponent tuples dominate both engines. Each
@@ -184,14 +185,8 @@ class LaurentPolynomial:
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return type(self)(self.nvars, terms)
+        # the constructor sums repeated monomials and drops zero sums
+        return type(self)(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return type(self)(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -203,16 +198,9 @@ class LaurentPolynomial:
         if type(other) is type(self):
             if self.nvars != other.nvars:
                 raise ValueError("variable count mismatch")
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = _mono_mul(e1, e2)
-                    s = terms.get(e, 0) + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        terms.pop(e, None)
-            return type(self)(self.nvars, terms)
+            return type(self)(self.nvars, [(_mono_mul(e1, e2), c1 * c2)
+                                           for e1, c1 in self.terms.items()
+                                           for e2, c2 in other.terms.items()])
         c = Fraction(other)    # a TypeError for a polynomial of the other class
         return type(self)(self.nvars, {e: c * v for e, v in self.terms.items()})
 
@@ -269,24 +257,43 @@ def constant(nvars: int, coeff) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 # division and Buchberger's algorithm
 
-def _reduce_terms(terms: dict, lead: list, key) -> dict:
-    """Remainder term dict of division by cached divisors.
+def _divisor(terms: dict, le) -> tuple:
+    """(le, _mask(le), lc, h): h the multiple of terms with coprime integer
+    coefficients and lc > 0 its coefficient at the monomial le."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = gcd(*ints.values()) * (1 if ints[le] > 0 else -1)
+    h = {e: c // g for e, c in ints.items()}
+    return le, _mask(le), h[le], h
 
-    Each divisor is an (lm, mask, lc, term dict) tuple with lm its
-    leading monomial, mask ``_mask(lm)`` and lc its leading coefficient.
-    A term is reduced by the first divisor, in list order, whose leading
-    monomial divides it. Each monomial's order key is computed once.
+
+def _reduce_terms(terms: dict, lead: list, key) -> tuple:
+    """(remainder, scale): division of integer terms by ``_divisor`` tuples.
+
+    A term c x^e is reduced by the first divisor, in list order, whose
+    leading monomial lm divides it: with g = gcd(c, lc), the rest r of the
+    work becomes (lc/g) r - (c/g) x^(e - lm) times the divisor. A positive
+    scale never changes which terms cancel, so the steps are those over
+    the rationals, whose remainder is remainder / scale.
     """
     work = dict(terms)
     keys = {e: key(e) for e in work}
     remainder = {}
+    scale = 1
     while work:
         e = max(work, key=keys.__getitem__)
         c = work.pop(e)
         out = ~_mask(e)
         for le, lm, lc, gterms in lead:
             if not lm & out and _mono_divides(le, e):
-                q = c / lc
+                g = gcd(c, lc)
+                a, q = lc // g, c // g
+                if a != 1:
+                    scale *= a
+                    for t in work:
+                        work[t] *= a
+                    for t in remainder:
+                        remainder[t] *= a
                 shift = tuple(x - y for x, y in zip(e, le))
                 for ge, gc in gterms.items():
                     if ge == le:
@@ -302,7 +309,7 @@ def _reduce_terms(terms: dict, lead: list, key) -> dict:
                 break
         else:
             remainder[e] = c
-    return remainder
+    return remainder, scale
 
 
 def normal_form(f: SparsePolynomial, basis, order: MonomialOrder) -> SparsePolynomial:
@@ -310,21 +317,18 @@ def normal_form(f: SparsePolynomial, basis, order: MonomialOrder) -> SparsePolyn
 
     No term of the result is divisible by the leading monomial of any
     basis element, which makes the result canonical whenever the basis
-    is a Groebner basis.
+    is a Groebner basis. It is computed on integer multiples, exactly.
     """
     basis = list(basis)
     _check_nvars(f.nvars, basis)
-    lead = []
-    for g in basis:
-        if not g.is_zero:
-            le, lc = g.leading(order)
-            lead.append((le, _mask(le), lc, g.terms))
-    return SparsePolynomial(f.nvars, _reduce_terms(f.terms, lead, order.key))
-
-
-def _monic(f: SparsePolynomial, order: MonomialOrder) -> SparsePolynomial:
-    _, lc = f.leading(order)
-    return f if lc == 1 else f * (Fraction(1) / lc)
+    if f.is_zero:
+        return f
+    lead = [_divisor(g.terms, g.leading(order)[0]) for g in basis if not g.is_zero]
+    e = next(iter(f.terms))
+    _, _, c, F = _divisor(f.terms, e)
+    r, scale = _reduce_terms(F, lead, order.key)
+    d = f.terms[e] / (c * scale)
+    return SparsePolynomial(f.nvars, {e: x * d for e, x in r.items()})
 
 
 def s_polynomial(f: SparsePolynomial, g: SparsePolynomial,
@@ -423,62 +427,52 @@ def _pair_loop(initial, reduce_pair, key) -> list:
     return kept
 
 
-def buchberger(gens, order: MonomialOrder):
-    """Reduced Groebner basis of the ideal generated by gens.
+def _groebner(gens, order: MonomialOrder) -> list:
+    """Reduced Groebner basis of nonzero generators as ``_divisor`` tuples
+    sorted by key. With g = gcd(lc_i, lc_j), the S-pair of f_i and f_j is
+    (lc_j/g) x^(T - lm_i) f_i - (lc_i/g) x^(T - lm_j) f_j, T the lcm of
+    the leading monomials; the pair loop is ``_pair_loop``."""
+    key = order.key
 
-    The pair queue and its pruning are ``_pair_loop``'s, so recomputation
-    from shuffled generators returns the identical basis. S-polynomials
-    are reduced by every element found so far, each leading monomial
-    filtered by its mask before the tuple test.
-    """
+    def reduce_pair(i, j, T):
+        li, _, ci, fi = cache[i]
+        lj, _, cj, fj = cache[j]
+        g = gcd(ci, cj)
+        sterms = {tuple(x + y - z for x, y, z in zip(ge, T, li)): cj // g * gc
+                  for ge, gc in fi.items()}
+        for ge, gc in fj.items():
+            t = tuple(x + y - z for x, y, z in zip(ge, T, lj))
+            s = sterms.get(t, 0) - ci // g * gc
+            if s:
+                sterms[t] = s
+            else:
+                sterms.pop(t, None)
+        r, _ = _reduce_terms(sterms, cache, key)
+        if not r:
+            return None
+        cache.append(_divisor(r, max(r, key=key)))
+        return cache[-1][:2]
+
+    cache = sorted((_divisor(g.terms, g.leading(order)[0]) for g in gens),
+                   key=lambda d: key(d[0]))
+    kept = _pair_loop([d[:2] for d in cache], reduce_pair, key)
+
+    # inter-reduce; the leading monomials, hence the key order, stay
+    return [_divisor(_reduce_terms(cache[k][3], [cache[m] for m in kept if m != k], key)[0],
+                     cache[k][0]) for k in kept]
+
+
+def buchberger(gens, order: MonomialOrder):
+    """Reduced Groebner basis of the ideal generated by gens: the basis of
+    ``_groebner`` made monic, sorted by the key of the leading monomials."""
     gens = list(gens)
     if any(g.is_zero for g in gens):
         raise ValueError("generators must be nonzero")
     if not gens:
         return []
-    nvars = gens[0].nvars
-    _check_nvars(nvars, gens)
-
-    key = order.key
-    basis = []   # term dicts, monic
-    lead = []    # leading exponents
-    cache = []   # divisor tuples for _reduce_terms
-
-    def add(g: SparsePolynomial):
-        le, lc = g.leading(order)
-        terms = g.terms if lc == 1 else {e: c / lc for e, c in g.terms.items()}
-        m = _mask(le)
-        basis.append(terms)
-        lead.append(le)
-        cache.append((le, m, Fraction(1), terms))
-        return le, m
-
-    def reduce_pair(i, j, T):
-        sterms = {}
-        for ge, gc in basis[i].items():
-            t = tuple(x + y - z for x, y, z in zip(ge, T, lead[i]))
-            sterms[t] = sterms.get(t, 0) + gc
-        for ge, gc in basis[j].items():
-            t = tuple(x + y - z for x, y, z in zip(ge, T, lead[j]))
-            s = sterms.get(t, 0) - gc
-            if s:
-                sterms[t] = s
-            else:
-                sterms.pop(t, None)
-        r = _reduce_terms(sterms, cache, key)
-        return add(SparsePolynomial(nvars, r)) if r else None
-
-    initial = [add(g) for g in sorted(gens, key=lambda g: key(g.leading(order)[0]))]
-    kept_idx = _pair_loop(initial, reduce_pair, key)
-
-    # inter-reduce: replace each element by its normal form modulo the rest
-    reduced = []
-    for pos, k in enumerate(kept_idx):
-        others = [cache[m] for m in kept_idx[:pos] + kept_idx[pos + 1:]]
-        r = SparsePolynomial(nvars, _reduce_terms(basis[k], others, key))
-        reduced.append(_monic(r, order))
-    reduced.sort(key=lambda g: key(g.leading(order)[0]))
-    return reduced
+    _check_nvars(gens[0].nvars, gens)
+    return [SparsePolynomial(gens[0].nvars, {e: Fraction(c, lc) for e, c in h.items()})
+            for _, _, lc, h in _groebner(gens, order)]
 
 
 def _binomial_basis(pairs, key) -> list:
@@ -539,10 +533,10 @@ def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> boo
     gens = list(gens)
     _check_nvars(f.nvars, gens)
     gens = [g for g in gens if not g.is_zero]
-    if not gens:
+    if not gens or f.is_zero:
         return f.is_zero
-    basis = buchberger(gens, order)
-    return normal_form(f, basis, order).is_zero
+    F = _divisor(f.terms, next(iter(f.terms)))[3]
+    return not _reduce_terms(F, _groebner(gens, order), order.key)[0]
 
 
 def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:
@@ -555,10 +549,9 @@ def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:
     gb = [g for g in gb if not g.is_zero]
     if not ga or not gb:
         return not ga and not gb
-    basis_a = buchberger(ga, order)
-    basis_b = buchberger(gb, order)
-    return (all(normal_form(g, basis_b, order).is_zero for g in basis_a)
-            and all(normal_form(g, basis_a, order).is_zero for g in basis_b))
+    a, b = _groebner(ga, order), _groebner(gb, order)
+    return all(not _reduce_terms(h, other, order.key)[0]
+               for basis, other in ((a, b), (b, a)) for *_, h in basis)
 
 
 # ---------------------------------------------------------------------------

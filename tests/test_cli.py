@@ -233,6 +233,17 @@ class TestOutputFormat:
         assert doc["value"] == "1"
         assert isinstance(doc["value"], str)
 
+    def test_integers_past_the_int_to_str_digit_limit(self, capsys):
+        # more digits than int() converts to str by default (4,300):
+        # N^3/6 for N = 10^1500 is 5*10^4499/3, and 10^4400 a Bezout count
+        n = "1" + "0" * 1500
+        doc = call(capsys, "polytope volume",
+                   {"points": [["0", "0", "0"], [n, "0", "0"],
+                               ["0", n, "0"], ["0", "0", n]]})
+        assert doc["volume"] == "5" + "0" * 4499 + "/3"
+        doc = call(capsys, "count bezout", {"degrees": ["10"] * 4400})
+        assert doc["value"] == "1" + "0" * 4400
+
 
 class TestSchemaErrors:
     def test_boolean_rejected_inside_matrix(self, capsys):
