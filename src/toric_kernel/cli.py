@@ -146,22 +146,27 @@ def read_index(node, path, count, what) -> int:
     return k - 1
 
 
+def _read_ambient(node, path, vectors, what) -> int:
+    """An explicit nonnegative 'ambient', else the length of the first
+    vector; `what` names the object in the error when there is neither."""
+    if "ambient" in node:
+        ambient = read_int(node["ambient"], f"{path}/ambient")
+        if ambient < 0:
+            raise SchemaError("ambient dimension must be nonnegative",
+                              f"{path}/ambient")
+        return ambient
+    if vectors:
+        return len(vectors[0])
+    raise SchemaError(f"{what} needs an explicit 'ambient'", f"{path}/ambient")
+
+
 def _fan_fields(node, path):
     if not isinstance(node, dict):
         raise SchemaError("expected a fan object with 'rays' and 'max_cones'",
                           path)
     rays = read_matrix(_get(node, "rays", path), f"{path}/rays",
                        allow_empty=True)
-    if "ambient" in node:
-        ambient = read_int(node["ambient"], f"{path}/ambient")
-        if ambient < 0:
-            raise SchemaError("ambient dimension must be nonnegative",
-                              f"{path}/ambient")
-    elif rays:
-        ambient = len(rays[0])
-    else:
-        raise SchemaError("a fan without rays needs an explicit 'ambient'",
-                          f"{path}/ambient")
+    ambient = _read_ambient(node, path, rays, "a fan without rays")
     cones_node = _get(node, "max_cones", path)
     if not isinstance(cones_node, list):
         raise SchemaError("expected an array of ray-index arrays",
@@ -194,17 +199,7 @@ def read_polytope(p, path) -> pt.LatticePolytope:
 def read_cone_payload(p) -> cn.Cone:
     gens = read_matrix(_get(p, "generators", _P), f"{_P}/generators",
                        allow_empty=True)
-    if "ambient" in p:
-        ambient = read_int(p["ambient"], f"{_P}/ambient")
-        if ambient < 0:
-            raise SchemaError("ambient dimension must be nonnegative",
-                              f"{_P}/ambient")
-    elif gens:
-        ambient = len(gens[0])
-    else:
-        raise SchemaError("a cone without generators needs an explicit "
-                          "'ambient'", f"{_P}/ambient")
-    c = cn.cone(gens, ambient)
+    c = cn.cone(gens, _read_ambient(p, _P, gens, "a cone without generators"))
     if "dual" in p and read_bool(p["dual"], f"{_P}/dual"):
         c = c.dual()
     return c

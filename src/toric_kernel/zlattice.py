@@ -112,30 +112,10 @@ def primitive(v: list) -> list:
     return [a // g for a in v]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _swap_col(M, a, b):
     if a != b:
         for row in M:
             row[a], row[b] = row[b], row[a]
-
-
-def _swap_row(M, a, b):
-    if a != b:
-        M[a], M[b] = M[b], M[a]
 
 
 def _add_col(M, dst, src, c):
@@ -149,10 +129,6 @@ def _scale_col(M, j, c):
         row[j] *= c
 
 
-def _scale_row(M, i, c):
-    M[i] = [c * a for a in M[i]]
-
-
 def hnf(M: Matrix) -> tuple[Matrix, Matrix]:
     """Column-style Hermite normal form H = M*U with U unimodular.
 
@@ -162,9 +138,16 @@ def hnf(M: Matrix) -> tuple[Matrix, Matrix]:
     right end. Pivot selection prefers the entry of smallest absolute
     value, which keeps intermediate entries small.
     """
-    rows, cols = shape(M)
     H = copy_matrix(M)
-    U = identity(cols)
+    U = identity(shape(M)[1])
+    _column_hnf(H, U)
+    return H, U
+
+
+def _column_hnf(H: Matrix, U: Matrix) -> None:
+    """Bring H to the column HNF of ``hnf`` in place, applying every
+    column operation to U as well."""
+    rows, cols = shape(H)
     col = 0
     for row in range(rows):
         if col == cols:
@@ -199,7 +182,6 @@ def hnf(M: Matrix) -> tuple[Matrix, Matrix]:
                 _add_col(H, j, col, -q)
                 _add_col(U, j, col, -q)
         col += 1
-    return H, U
 
 
 def hnf_pivots(H: Matrix) -> list:
@@ -213,99 +195,37 @@ def hnf_pivots(H: Matrix) -> list:
     return out
 
 
-def _rows_gcd_step(S, P, t, i):
-    """Unimodular row transform on rows (t, i) that zeroes S[i][t]."""
-    a, b = S[t][t], S[i][t]
-    if a != 0 and b % a == 0:
-        q = b // a
-        S[i] = [x - q * y for x, y in zip(S[i], S[t])]
-        P[i] = [x - q * y for x, y in zip(P[i], P[t])]
-        return
-    g, x, y = _xgcd(a, b)
-    u, v = -(b // g), a // g  # det of [[x, y], [u, v]] is +1
-    for M in (S, P):
-        rt, ri = M[t], M[i]
-        M[t] = [x * p + y * q for p, q in zip(rt, ri)]
-        M[i] = [u * p + v * q for p, q in zip(rt, ri)]
-
-
-def _cols_gcd_step(S, Q, t, j):
-    """Unimodular column transform on columns (t, j) that zeroes S[t][j]."""
-    a, b = S[t][t], S[t][j]
-    if a != 0 and b % a == 0:
-        q = b // a
-        _add_col(S, j, t, -q)
-        _add_col(Q, j, t, -q)
-        return
-    g, x, y = _xgcd(a, b)
-    u, v = -(b // g), a // g
-    for M in (S, Q):
-        for row in M:
-            ct, cj = row[t], row[j]
-            row[t] = x * ct + y * cj
-            row[j] = u * ct + v * cj
-
-
 def snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form S = P*M*Q.
 
     S is diagonal with nonnegative entries d1 | d2 | ... and P, Q are
     unimodular. Zero invariant factors trail the nonzero ones.
+
+    Row and column Hermite forms alternate until S is diagonal
+    (Kannan-Bachem; Cohen, section 2.4.4): the row HNF is the column HNF
+    of S^T with its operations applied to P^T, and the column HNF applies
+    its operations to Q. A diagonal pair d_t, d_(t+1) off the divisibility chain gets
+    column t+1 added to column t, and the next row HNF takes their gcd.
     """
     rows, cols = shape(M)
     S = copy_matrix(M)
-    P = identity(rows)
+    Pt = identity(rows)
     Q = identity(cols)
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        _swap_row(S, t, best[0])
-        _swap_row(P, t, best[0])
-        _swap_col(S, t, best[1])
-        _swap_col(Q, t, best[1])
-        while True:
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    _rows_gcd_step(S, P, t, i)
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    _cols_gcd_step(S, Q, t, j)
-            # column ops can re-dirty the pivot column; settle both
-            if all(S[i][t] == 0 for i in range(t + 1, rows)):
-                break
-        t += 1
-    for i in range(limit):
-        if S[i][i] < 0:
-            _scale_row(S, i, -1)
-            _scale_row(P, i, -1)
-    rank = sum(1 for i in range(limit) if S[i][i] != 0)
-    # enforce the divisibility chain with the usual 2x2 repair
-    changed = True
-    while changed:
-        changed = False
-        for t in range(rank - 1):
-            a, b = S[t][t], S[t + 1][t + 1]
-            if b % a:
-                _add_col(S, t, t + 1, 1)
-                _add_col(Q, t, t + 1, 1)
-                _rows_gcd_step(S, P, t, t + 1)
-                if S[t][t + 1]:
-                    _cols_gcd_step(S, Q, t, t + 1)
-                if S[t][t] < 0:
-                    _scale_row(S, t, -1)
-                    _scale_row(P, t, -1)
-                if S[t + 1][t + 1] < 0:
-                    _scale_row(S, t + 1, -1)
-                    _scale_row(P, t + 1, -1)
-                changed = True
-    return S, P, Q
+    while True:
+        # the row HNF comes first, or a repaired column is reduced
+        # straight back to the diagonal it came from
+        St = transpose(S)
+        _column_hnf(St, Pt)
+        S = transpose(St) if cols else S   # [] would lose an r x 0 S's r
+        _column_hnf(S, Q)
+        if any(S[i][j] for i in range(rows) for j in range(cols) if i != j):
+            continue
+        d = [S[i][i] for i in range(min(rows, cols))]
+        t = next((t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]), None)
+        if t is None:
+            return S, transpose(Pt), Q
+        _add_col(S, t, t + 1, 1)
+        _add_col(Q, t, t + 1, 1)
 
 
 def snf_diagonal(M: Matrix) -> list:

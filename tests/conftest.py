@@ -5,6 +5,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from toric_kernel import zlattice as zl
+from toric_kernel.zlattice import (Matrix, _add_col, _swap_col, copy_matrix,
+                                   identity, shape)
 from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
                                   _mask, _mono_divides, _pair_loop)
 
@@ -23,9 +25,133 @@ def snf_kernel(M):
     zl.kernel_basis and the basis the library printed before it read
     every kernel off the column HNF."""
     rows, cols = zl.shape(M)
-    S, _, Q = zl.snf(M)
+    S, _, Q = pivot_snf(M)
     rank = sum(1 for i in range(min(rows, cols)) if S[i][i] != 0)
     return [[Q[i][j] for j in range(rank, cols)] for i in range(cols)]
+
+
+# ---------------------------------------------------------------------------
+# the pivot-search Smith engine, the oracle of zl.snf: ``pivot_snf`` and its
+# helpers are the elimination the library ran before it alternated column
+# and row Hermite forms, unchanged apart from the name of ``pivot_snf``
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def _swap_row(M, a, b):
+    if a != b:
+        M[a], M[b] = M[b], M[a]
+
+
+def _scale_row(M, i, c):
+    M[i] = [c * a for a in M[i]]
+
+
+def _rows_gcd_step(S, P, t, i):
+    """Unimodular row transform on rows (t, i) that zeroes S[i][t]."""
+    a, b = S[t][t], S[i][t]
+    if a != 0 and b % a == 0:
+        q = b // a
+        S[i] = [x - q * y for x, y in zip(S[i], S[t])]
+        P[i] = [x - q * y for x, y in zip(P[i], P[t])]
+        return
+    g, x, y = _xgcd(a, b)
+    u, v = -(b // g), a // g  # det of [[x, y], [u, v]] is +1
+    for M in (S, P):
+        rt, ri = M[t], M[i]
+        M[t] = [x * p + y * q for p, q in zip(rt, ri)]
+        M[i] = [u * p + v * q for p, q in zip(rt, ri)]
+
+
+def _cols_gcd_step(S, Q, t, j):
+    """Unimodular column transform on columns (t, j) that zeroes S[t][j]."""
+    a, b = S[t][t], S[t][j]
+    if a != 0 and b % a == 0:
+        q = b // a
+        _add_col(S, j, t, -q)
+        _add_col(Q, j, t, -q)
+        return
+    g, x, y = _xgcd(a, b)
+    u, v = -(b // g), a // g
+    for M in (S, Q):
+        for row in M:
+            ct, cj = row[t], row[j]
+            row[t] = x * ct + y * cj
+            row[j] = u * ct + v * cj
+
+
+def pivot_snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form S = P*M*Q.
+
+    S is diagonal with nonnegative entries d1 | d2 | ... and P, Q are
+    unimodular. Zero invariant factors trail the nonzero ones.
+    """
+    rows, cols = shape(M)
+    S = copy_matrix(M)
+    P = identity(rows)
+    Q = identity(cols)
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        _swap_row(S, t, best[0])
+        _swap_row(P, t, best[0])
+        _swap_col(S, t, best[1])
+        _swap_col(Q, t, best[1])
+        while True:
+            for i in range(t + 1, rows):
+                if S[i][t]:
+                    _rows_gcd_step(S, P, t, i)
+            for j in range(t + 1, cols):
+                if S[t][j]:
+                    _cols_gcd_step(S, Q, t, j)
+            # column ops can re-dirty the pivot column; settle both
+            if all(S[i][t] == 0 for i in range(t + 1, rows)):
+                break
+        t += 1
+    for i in range(limit):
+        if S[i][i] < 0:
+            _scale_row(S, i, -1)
+            _scale_row(P, i, -1)
+    rank = sum(1 for i in range(limit) if S[i][i] != 0)
+    # enforce the divisibility chain with the usual 2x2 repair
+    changed = True
+    while changed:
+        changed = False
+        for t in range(rank - 1):
+            a, b = S[t][t], S[t + 1][t + 1]
+            if b % a:
+                _add_col(S, t, t + 1, 1)
+                _add_col(Q, t, t + 1, 1)
+                _rows_gcd_step(S, P, t, t + 1)
+                if S[t][t + 1]:
+                    _cols_gcd_step(S, Q, t, t + 1)
+                if S[t][t] < 0:
+                    _scale_row(S, t, -1)
+                    _scale_row(P, t, -1)
+                if S[t + 1][t + 1] < 0:
+                    _scale_row(S, t + 1, -1)
+                    _scale_row(P, t + 1, -1)
+                changed = True
+    return S, P, Q
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,27 @@ class TestSchemaErrors:
                     "generators": [BINOMIAL]})
         assert doc["value"] is True
 
+    def test_cone_without_generators_or_ambient(self, capsys):
+        doc = schema_error(capsys, "cone dual", {"generators": []})
+        assert doc["error"] == "a cone without generators needs an explicit 'ambient'"
+        assert doc["path"] == "/payload/ambient"
+
+    def test_fan_without_rays_or_ambient(self, capsys):
+        doc = schema_error(capsys, "fan validate",
+                           {"fan": {"rays": [], "max_cones": []}})
+        assert doc["error"] == "a fan without rays needs an explicit 'ambient'"
+        assert doc["path"] == "/payload/fan/ambient"
+
+    @pytest.mark.parametrize("command, payload, path", [
+        ("cone dual", {"generators": [[1, 0]], "ambient": -1}, "/payload/ambient"),
+        ("fan validate", {"fan": {"rays": [[1, 0]], "max_cones": [[1]],
+                                  "ambient": "-2"}}, "/payload/fan/ambient"),
+    ])
+    def test_negative_ambient(self, capsys, command, payload, path):
+        doc = schema_error(capsys, command, payload)
+        assert doc["error"] == "ambient dimension must be nonnegative"
+        assert doc["path"] == path
+
     def test_negative_exponent_rejected_for_sparse_polynomials(self, capsys):
         doc = schema_error(capsys, "ideal member",
                            {"f": {"terms": [{"exp": [-1], "coeff": "1"}]},

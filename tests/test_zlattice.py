@@ -2,11 +2,12 @@
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import snf_kernel
+from conftest import pivot_snf, snf_kernel, within
 from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
@@ -105,6 +106,50 @@ class TestSnf:
         assert all(d > 0 for d in nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
+
+
+def seeded_matrices():
+    """Rectangular, zero and rank-deficient matrices from a fixed seed,
+    and the degenerate shapes 0x0, 3x0 and 1x3."""
+    rng = random.Random(20261019)
+    out = [[], [[], [], []], [[0, 4, -6]], [[0, 0, 0], [0, 0, 0]]]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        bound = rng.choice([1, 3, 40])
+        M = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        out.append(M)
+        # rank-deficient: a row that is a combination of two others
+        if rows >= 3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            out.append(M[:-1] + [[a * x + b * y for x, y in zip(M[0], M[1])]])
+    return out
+
+
+class TestSnfAgainstPivotEngine:
+    @pytest.mark.parametrize("M", seeded_matrices())
+    def test_same_diagonal_and_unimodular_transforms(self, M):
+        S, P, Q = zl.snf(M)
+        assert S == pivot_snf(M)[0]
+        assert zl.mat_mul(zl.mat_mul(P, M), Q) == S
+        assert abs(zl.det(P)) == 1
+        assert abs(zl.det(Q)) == 1
+
+    @pytest.mark.parametrize("d, expected", [((2, 3), [1, 6]),
+                                             ((6, 10, 15), [1, 30, 30])])
+    def test_divisibility_repair_terminates(self, d, expected):
+        # a round that ran the column HNF before the row HNF would undo
+        # each repair and never stop on these
+        M = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+        with within(5):
+            assert zl.snf_diagonal(M) == expected
+
+    def test_random_40x40_within_budget(self):
+        rng = random.Random(0)
+        M = [[rng.randint(-50, 50) for _ in range(40)] for _ in range(40)]
+        with within(1):
+            S, P, Q = zl.snf(M)
+        assert zl.mat_mul(zl.mat_mul(P, M), Q) == S
+        assert max(abs(x).bit_length() for T in (P, Q) for row in T for x in row) < 2000
 
 class TestKernel:
     def test_row_config(self):
