@@ -4,22 +4,18 @@ A cone is stored with both descriptions: the generators it was built
 from (primitivized, deduplicated, input order kept) and a canonical
 generating set of its dual, computed eagerly with the double
 description method. The dual data doubles as the H-representation:
-sigma = {x : <m, x> >= 0 for every m in facet_normals}.
+sigma = {x : <m, x> >= 0 for every m in facet_normals}. The double
+description also gives, for each dual ray, the bitmask of the
+generators tight on it; pointedness, the rays, the faces and the
+pulling triangulation of the Hilbert basis are read off these masks.
 """
 
 from __future__ import annotations
 
-from operator import ge
+from functools import reduce
+from operator import and_, ge
 
 from . import zlattice as zl
-
-
-def _dedupe(vectors):
-    seen = []
-    for v in vectors:
-        if v not in seen:
-            seen.append(v)
-    return seen
 
 
 def _independent_rows(cons, n):
@@ -35,19 +31,10 @@ def _independent_rows(cons, n):
     return indep
 
 
-def _pointed_dual_rays(cons, n, indep=None):
-    """Extreme rays of D = {x : <u, x> >= 0 for u in cons}, sorted.
-
-    Requires the constraint matrix to have rank n, which makes D pointed.
-    """
-    out = _dedupe([v for v, _ in _dual_rays_with_zero_sets(cons, n, indep)])
-    out.sort()
-    return out
-
-
 def _dual_rays_with_zero_sets(cons, n, indep=None):
     """Pairs (ray, Z): the extreme rays of D = {x : <u, x> >= 0 for u in
-    cons}, each with the bitmask Z of the constraint indices tight on it.
+    cons}, each once and with the bitmask Z of the constraint indices
+    tight on it.
 
     Requires the constraint matrix to have rank n, which makes D pointed.
     Incremental double description: seed with a simplicial cone cut out
@@ -55,7 +42,9 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
     then insert the rest in input order, combining only adjacent ray
     pairs (no third ray's zero set may contain the pair's common zero
     set). A combination of two rays with positive coefficients is tight
-    exactly where both are, so each Z is the exact zero set.
+    exactly where both are, so each Z is the exact zero set. Each new
+    ray lies in the relative interior of the 2-face of its pair, so no
+    ray is found twice (Fukuda-Prodon).
     """
     if n == 0:
         return []
@@ -104,44 +93,59 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
 def halfspace_generators(constraints, n):
     """Generators of {x : <u, x> >= 0 for all u in constraints}.
 
-    Returns (lineality_basis, rays): the saturated lattice basis of the
-    lineality space that ``zl.kernel_basis`` reads off the column HNF of
-    the constraints, and the extreme rays of the pointed part, lifted
-    from the quotient by ``zl.quotient_map``'s lift.
+    Returns (lineality_basis, rays, zero_sets): the saturated lattice
+    basis of the lineality space that ``zl.kernel_basis`` reads off the
+    column HNF of the constraints; the extreme rays of the pointed part,
+    sorted, lifted from the quotient by ``zl.quotient_map``'s lift; and
+    for each ray the bitmask of the constraints tight on it, numbered in
+    input order with the zero constraints left out.
     """
     cons = [list(u) for u in constraints if any(u)]
     if not cons:
-        return zl.columns(zl.identity(n)), []
+        return zl.columns(zl.identity(n)), [], []
     indep = _independent_rows(cons, n)
     if len(indep) == n:
-        return [], _pointed_dual_rays(cons, n, indep)
-    K = zl.kernel_basis(cons)
-    _, lift = zl.quotient_map(K)
-    # u vanishes on K, so lift^T u is the unique c with pi^T c = u
-    lift_t = zl.transpose(lift)
-    rays_q = _pointed_dual_rays([zl.mat_vec(lift_t, u) for u in cons], len(lift_t))
-    return zl.columns(K), [zl.primitive(zl.mat_vec(lift, r)) for r in rays_q]
+        lin, pairs = [], _dual_rays_with_zero_sets(cons, n, indep)
+    else:
+        K = zl.kernel_basis(cons)
+        _, lift = zl.quotient_map(K)
+        # u vanishes on K, so lift^T u is the unique c with pi^T c = u,
+        # and <u, lift r> = <c, r>: the zero sets carry over to the lifts
+        lift_t = zl.transpose(lift)
+        quotient = _dual_rays_with_zero_sets([zl.mat_vec(lift_t, u) for u in cons],
+                                             len(lift_t))
+        lin = zl.columns(K)
+        pairs = [(zl.primitive(zl.mat_vec(lift, r)), Z) for r, Z in quotient]
+    pairs.sort()
+    return lin, [r for r, _ in pairs], [Z for _, Z in pairs]
 
 
 class Cone:
-    """Immutable rational polyhedral cone in Z^ambient_dim."""
+    """Immutable rational polyhedral cone in Z^ambient_dim.
+
+    zero_sets[j] is the bitmask of the generators tight on dual_rays[j].
+    """
 
     __slots__ = ("ambient_dim", "generators", "dual_lineality", "dual_rays",
-                 "facet_normals", "dim", "_pointed", "_rays")
+                 "zero_sets", "facet_normals", "dim", "is_pointed", "_rays")
 
-    def __init__(self, ambient_dim, generators, dual_lineality, dual_rays):
+    def __init__(self, ambient_dim, generators, dual_lineality, dual_rays, zero_sets):
         self.ambient_dim = ambient_dim
         self.generators = generators
         self.dual_lineality = dual_lineality
         self.dual_rays = dual_rays
-        normals = sorted(dual_rays)
+        self.zero_sets = zero_sets
+        normals = list(dual_rays)
         for b in dual_lineality:
             normals.append(list(b))
             normals.append([-x for x in b])
         self.facet_normals = normals
         # the dual's lineality has rank ambient_dim - rank(generators)
         self.dim = ambient_dim - len(dual_lineality)
-        self._pointed = None
+        # the sum of the dual rays lies in the relative interior of the
+        # dual, and it is positive on every generator exactly when sigma
+        # is pointed
+        self.is_pointed = reduce(and_, zero_sets, (1 << len(generators)) - 1) == 0
         self._rays = None
 
     # -- membership and comparisons ------------------------------------
@@ -153,18 +157,11 @@ class Cone:
         return all(self.contains(g) for g in other.generators)
 
     def contains_in_relint(self, v) -> bool:
-        """v in the relative interior: strict on facet rows, tight on the
-        span equations (the paired lineality normals)."""
-        pairs = {tuple(m) for m in self.facet_normals
-                 if [-x for x in m] in self.facet_normals}
-        for m in self.facet_normals:
-            s = zl.dot(m, v)
-            if tuple(m) in pairs:
-                if s != 0:
-                    return False
-            elif s <= 0:
-                return False
-        return True
+        """v in the relative interior: tight on the dual's lineality,
+        whose orthogonal complement is the span, and strict on the dual
+        rays."""
+        return (all(zl.dot(b, v) == 0 for b in self.dual_lineality)
+                and all(zl.dot(m, v) > 0 for m in self.dual_rays))
 
     def __eq__(self, other):
         return (isinstance(other, Cone)
@@ -181,12 +178,6 @@ class Cone:
     # -- structure -------------------------------------------------------
 
     @property
-    def is_pointed(self) -> bool:
-        if self._pointed is None:
-            self._pointed = zl.rank(self.facet_normals) == self.ambient_dim
-        return self._pointed
-
-    @property
     def is_full_dim(self) -> bool:
         return self.dim == self.ambient_dim
 
@@ -194,22 +185,20 @@ class Cone:
         """Primitive generators of the 1-dimensional faces, in the order
         the corresponding generators were given.
 
-        A generator g that is not extreme lies in the relative interior
-        of a face of dimension at least 2, whose extreme rays are other
-        generators tight on every facet normal that g is tight on. An
-        extreme g is the only generator on its line, since the
-        generators are distinct and primitive and the cone is pointed.
-        So g is extreme exactly when no other generator's zero set over
-        the facet normals contains g's.
+        The zero sets of the dual rays are those of sigma's facets, so
+        the smallest face containing a generator g_i is spanned by the
+        generators in every zero set that contains i (all of them when
+        none does). An extreme g_i is the only generator on its line,
+        since the generators are distinct and primitive and the cone is
+        pointed. So g_i is extreme exactly when that set is {i}.
         """
         if not self.is_pointed:
             raise ValueError("rays of a non-pointed cone are undefined")
         if self._rays is None:
-            zero = [sum(1 << j for j, m in enumerate(self.facet_normals)
-                        if zl.dot(m, g) == 0) for g in self.generators]
+            full = (1 << len(self.generators)) - 1
             self._rays = [g for i, g in enumerate(self.generators)
-                          if not any(Z & zero[i] == zero[i]
-                                     for k, Z in enumerate(zero) if k != i)]
+                          if reduce(and_, (Z for Z in self.zero_sets if Z >> i & 1),
+                                    full) == 1 << i]
         return [list(r) for r in self._rays]
 
     @property
@@ -237,27 +226,28 @@ class Cone:
 
     # -- faces -------------------------------------------------------------
 
-    def faces(self):
-        """The full face lattice, each face as a Cone.
+    def face_masks(self):
+        """The faces as bitmasks of the generators on them.
 
-        Every face is the set of generators tight on some facet normals.
-        As generator bitmasks these sets are the closure of the full set
-        under intersection with each normal's zero set, so the search
-        visits faces, not subsets of normals.
+        Every face is the set of generators tight on some dual rays, so
+        these sets are the closure of the full set under intersection
+        with the zero sets, and the search visits faces, not subsets of
+        the dual rays.
         """
-        n = self.ambient_dim
-        gens = self.generators
-        zero = [sum(1 << i for i, g in enumerate(gens) if zl.dot(m, g) == 0)
-                for m in self.facet_normals]
-        full = (1 << len(gens)) - 1
+        full = (1 << len(self.generators)) - 1
         seen, stack = {full}, [full]
         while stack:
             F = stack.pop()
-            for G in {F & Z for Z in zero} - seen:
+            for G in {F & Z for Z in self.zero_sets} - seen:
                 seen.add(G)
                 stack.append(G)
-        out = [cone([g for i, g in enumerate(gens) if F >> i & 1], n)
-               for F in seen]
+        return seen
+
+    def faces(self):
+        """The full face lattice, each face as a Cone."""
+        gens = self.generators
+        out = [cone([g for i, g in enumerate(gens) if F >> i & 1], self.ambient_dim)
+               for F in self.face_masks()]
         out.sort(key=lambda c: (c.dim, sorted(tuple(g) for g in c.generators)))
         return out
 
@@ -287,8 +277,7 @@ def cone(gens, ambient: int) -> Cone:
             p = zl.primitive(g)
             if p not in vecs:
                 vecs.append(p)
-    lin, drays = halfspace_generators(vecs, ambient)
-    return Cone(ambient, vecs, lin, drays)
+    return Cone(ambient, vecs, *halfspace_generators(vecs, ambient))
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
@@ -296,7 +285,7 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.ambient_dim != c2.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = c1.ambient_dim
-    lin, rays = halfspace_generators(c1.facet_normals + c2.facet_normals, n)
+    lin, rays, _ = halfspace_generators(c1.facet_normals + c2.facet_normals, n)
     gens = list(rays)
     for b in lin:
         gens.append(list(b))
@@ -308,11 +297,11 @@ def is_face_of(tau: Cone, sigma: Cone) -> bool:
     """Whether tau is a face of sigma."""
     if not sigma.contains_cone(tau):
         return False
-    tight = [m for m in sigma.facet_normals
-             if all(zl.dot(m, g) == 0 for g in tau.generators)]
-    cut = [g for g in sigma.generators
-           if all(zl.dot(m, g) == 0 for m in tight)]
-    return cone(cut, sigma.ambient_dim) == tau
+    cut = reduce(and_, (Z for m, Z in zip(sigma.dual_rays, sigma.zero_sets)
+                        if all(zl.dot(m, g) == 0 for g in tau.generators)),
+                 (1 << len(sigma.generators)) - 1)
+    gens = [g for i, g in enumerate(sigma.generators) if cut >> i & 1]
+    return cone(gens, sigma.ambient_dim) == tau
 
 
 class HilbertBasis:
@@ -423,11 +412,12 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
         inner = hilbert_basis(cone(R_proj, d))
         return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
     normals = sigma.facet_normals
-    masks = [sum(1 << i for i, r in enumerate(R) if zl.dot(m, r) == 0)
-             for m in normals]
+    gens = sigma.generators
+    # the generators are distinct, so the rays name their indices
+    extreme = sum(1 << i for i, g in enumerate(gens) if g in R)
     candidates = {tuple(r) for r in R}
-    for s in pulling_triangulation(masks, (1 << len(R)) - 1, d):
-        M = zl.from_columns([R[i] for i in s], rows=d)
+    for s in pulling_triangulation(sigma.zero_sets, extreme, d):
+        M = zl.from_columns([gens[i] for i in s], rows=d)
         candidates |= _parallelepiped_points(M, d)
     # c - a lies in sigma exactly when its values on the normals are >= 0
     graded = []
@@ -619,7 +609,7 @@ def _relint_separator(c1: Cone, c2: Cone):
     n = c1.ambient_dim
     constraints = [list(g) for g in c1.generators]
     constraints += [[-x for x in g] for g in c2.generators]
-    _, rays = halfspace_generators(constraints, n)
+    _, rays, _ = halfspace_generators(constraints, n)
     m = [0] * n
     for r in rays:
         m = zl.vadd(m, r)

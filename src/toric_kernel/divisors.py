@@ -268,7 +268,7 @@ def divisor_polyhedron(D: TorusInvariantDivisor) -> DivisorPolyhedron:
         # vertices (w, t) of the polyhedron, homogenized: boundedness
         # leaves none at t = 0, and an empty polyhedron has none at all
         cons = [u + [a] for u, a in facets] + [[0] * n + [1]]
-        points = pt.hull_lattice_points(cn._pointed_dual_rays(cons, n + 1))
+        points = pt.hull_lattice_points(cn.halfspace_generators(cons, n + 1)[1])
     return DivisorPolyhedron(facets, bounded, points)
 
 

@@ -37,13 +37,16 @@ class Fan:
         return self._max_objs[index]
 
     def all_cones(self):
-        """Every cone of the fan, as a dict: ray-index tuple -> Cone."""
+        """Every cone of the fan, as a dict: ray-index tuple -> Cone.
+        Generator j of maximal cone I is ray I[j], which names the rays
+        of each face mask."""
         if self._all is None:
             out = {}
             for I, c in zip(self.maximal_cones, self._max_objs):
-                for f in c.faces():
-                    ixs = tuple(i for i in I if f.contains(self.rays[i]))
-                    out.setdefault(ixs, f)
+                for F in c.face_masks():
+                    ixs = tuple(i for j, i in enumerate(I) if F >> j & 1)
+                    if ixs not in out:
+                        out[ixs] = cn.cone([self.rays[i] for i in ixs], self.ambient_dim)
             self._all = out
         return self._all
 

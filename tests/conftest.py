@@ -1,9 +1,14 @@
 """Helpers shared by the test modules."""
 
+import signal
+import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
+from toric_kernel import cones as cn
 from toric_kernel import zlattice as zl
 from toric_kernel.zlattice import (Matrix, _add_col, _swap_col, copy_matrix,
                                    identity, shape)
@@ -13,9 +18,34 @@ from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
 
 @contextmanager
 def within(seconds):
-    """Fail when the body of the with block runs for `seconds` or longer."""
+    """Fail when the body of the with block runs for `seconds` or longer.
+
+    In the main thread of a platform with SIGALRM a process-local timer
+    fails the test at the budget, so a body that never ends cannot hang
+    the suite; the handler and timer that were set before are restored
+    on exit. Elsewhere the time is only checked after the body ends.
+    """
+    armed = (hasattr(signal, "SIGALRM")
+             and threading.current_thread() is threading.main_thread())
+    if armed:
+        def expire(signum, frame):
+            pytest.fail(f"still running at the budget of {seconds}s")
+
+        old_handler = signal.signal(signal.SIGALRM, expire)
+        old_delay, old_interval = signal.setitimer(signal.ITIMER_REAL, seconds)
     start = time.monotonic()
-    yield
+    try:
+        yield
+    finally:
+        if armed:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            finally:
+                signal.signal(signal.SIGALRM, old_handler)
+                if old_delay:
+                    # an outer timer that came due meanwhile fires at once
+                    left = old_delay - (time.monotonic() - start)
+                    signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6), old_interval)
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
@@ -288,3 +318,100 @@ def fraction_same_ideal(gens_a, gens_b, order):
     basis_b = fraction_buchberger(gb, order)
     return (all(fraction_normal_form(g, basis_b, order).is_zero for g in basis_a)
             and all(fraction_normal_form(g, basis_a, order).is_zero for g in basis_b))
+
+
+# ---------------------------------------------------------------------------
+# the dot-product incidences, the oracles of the zero sets a Cone keeps from
+# its double description: ``dedupe`` and ``pointed_dual_rays`` are the
+# helpers cones.py ran before it kept those zero sets, and the functions
+# below them are the bodies of ``Cone.is_pointed``, ``Cone.rays``,
+# ``Cone.faces``, ``Cone.contains_in_relint``, ``cones.is_face_of`` and
+# ``Fan.all_cones`` from then, unchanged apart from their names
+
+def dedupe(vectors):
+    seen = []
+    for v in vectors:
+        if v not in seen:
+            seen.append(v)
+    return seen
+
+
+def pointed_dual_rays(cons, n, indep=None):
+    """Extreme rays of D = {x : <u, x> >= 0 for u in cons}, sorted.
+
+    Requires the constraint matrix to have rank n, which makes D pointed.
+    """
+    out = dedupe([v for v, _ in cn._dual_rays_with_zero_sets(cons, n, indep)])
+    out.sort()
+    return out
+
+
+def rank_is_pointed(sigma):
+    return zl.rank(sigma.facet_normals) == sigma.ambient_dim
+
+
+def normal_rays(sigma):
+    """``Cone.rays`` from the zero sets of the generators over the facet
+    normals: g is extreme exactly when no other generator's zero set
+    contains g's."""
+    if not rank_is_pointed(sigma):
+        raise ValueError("rays of a non-pointed cone are undefined")
+    zero = [sum(1 << j for j, m in enumerate(sigma.facet_normals)
+                if zl.dot(m, g) == 0) for g in sigma.generators]
+    return [g for i, g in enumerate(sigma.generators)
+            if not any(Z & zero[i] == zero[i]
+                       for k, Z in enumerate(zero) if k != i)]
+
+
+def normal_faces(sigma):
+    """``Cone.faces`` from the zero set of each facet normal."""
+    n = sigma.ambient_dim
+    gens = sigma.generators
+    zero = [sum(1 << i for i, g in enumerate(gens) if zl.dot(m, g) == 0)
+            for m in sigma.facet_normals]
+    full = (1 << len(gens)) - 1
+    seen, stack = {full}, [full]
+    while stack:
+        F = stack.pop()
+        for G in {F & Z for Z in zero} - seen:
+            seen.add(G)
+            stack.append(G)
+    out = [cn.cone([g for i, g in enumerate(gens) if F >> i & 1], n)
+           for F in seen]
+    out.sort(key=lambda c: (c.dim, sorted(tuple(g) for g in c.generators)))
+    return out
+
+
+def paired_contains_in_relint(sigma, v):
+    """v in the relative interior: strict on facet rows, tight on the
+    span equations (the paired lineality normals)."""
+    pairs = {tuple(m) for m in sigma.facet_normals
+             if [-x for x in m] in sigma.facet_normals}
+    for m in sigma.facet_normals:
+        s = zl.dot(m, v)
+        if tuple(m) in pairs:
+            if s != 0:
+                return False
+        elif s <= 0:
+            return False
+    return True
+
+
+def normal_is_face_of(tau, sigma):
+    if not sigma.contains_cone(tau):
+        return False
+    tight = [m for m in sigma.facet_normals
+             if all(zl.dot(m, g) == 0 for g in tau.generators)]
+    cut = [g for g in sigma.generators
+           if all(zl.dot(m, g) == 0 for m in tight)]
+    return cn.cone(cut, sigma.ambient_dim) == tau
+
+
+def containment_all_cones(F):
+    """``Fan.all_cones`` placing each ray of each face by ``contains``."""
+    out = {}
+    for I, c in zip(F.maximal_cones, F._max_objs):
+        for f in normal_faces(c):
+            ixs = tuple(i for i in I if f.contains(F.rays[i]))
+            out.setdefault(ixs, f)
+    return out

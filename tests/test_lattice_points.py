@@ -88,7 +88,7 @@ def homogenized_vertices(facets, n):
     """The vertices (w, t) of a bounded H-representation, as
     ``divisor_polyhedron`` computes them."""
     cons = [list(u) + [a] for u, a in facets] + [[0] * n + [1]]
-    return cn._pointed_dual_rays(cons, n + 1)
+    return cn.halfspace_generators(cons, n + 1)[1]
 
 
 def h_lattice_points(facets, n):

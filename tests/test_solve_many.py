@@ -12,6 +12,7 @@ from itertools import combinations
 from math import floor, gcd
 
 import pytest
+from conftest import dedupe
 from hypothesis import given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -75,7 +76,7 @@ def old_seed_rays(cons, n):
 
 def old_pointed_dual_rays(cons, n):
     """The double description with the old seeding; the insertion loop is
-    the one in ``cones._pointed_dual_rays``."""
+    the one in ``cones._dual_rays_with_zero_sets``."""
     indep, rays = old_seed_rays(cons, n)
     for k, u in enumerate(cons):
         if k in indep:
@@ -99,7 +100,7 @@ def old_pointed_dual_rays(cons, n):
                 w = zl.vadd(zl.vscale(ps, mvec), zl.vscale(-ms, pvec))
                 new.append((zl.primitive(w), T | {k}))
         rays = new
-    return sorted(cn._dedupe([v for v, _ in rays]))
+    return sorted(dedupe([v for v, _ in rays]))
 
 
 def old_unimodular_inverse(P):
@@ -181,12 +182,12 @@ class TestPointedDualRays:
         cons = [u for u in cons if any(u)]
         if hnf_rank(cons) < n:
             return
-        assert cn._pointed_dual_rays(cons, n) == old_pointed_dual_rays(cons, n)
+        assert cn.halfspace_generators(cons, n)[1] == old_pointed_dual_rays(cons, n)
 
     def test_seed_selection_skips_dependent_constraints(self):
         cons = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]
         assert old_seed_rays(cons, 3)[0] == [0, 2, 4]
-        assert cn._pointed_dual_rays(cons, 3) == old_pointed_dual_rays(cons, 3)
+        assert cn.halfspace_generators(cons, 3)[1] == old_pointed_dual_rays(cons, 3)
 
 
 class TestUnimodularInverse:
