@@ -12,7 +12,8 @@ present. The result is a single JSON object on standard output with
 the same "schema" tag. Exit codes: 0 on success, 1 when a library
 precondition fails (the "error" field carries the message), 2 when the
 request violates the schema (the "path" field carries a JSON pointer
-to the offending node).
+to the offending node), 3 on an internal error, a bug (the "error"
+field names the exception, the traceback goes to standard error).
 
 Conventions shared by every subcommand:
 
@@ -747,6 +748,14 @@ def main(argv=None) -> int:
         document, code = {"error": str(e), "path": e.path}, 2
     except ValueError as e:
         document, code = {"error": str(e)}, 1
+    except Exception as e:
+        # a library invariant failed or a resource ran out: a bug, not an
+        # answer about the request, so stdout still gets one JSON document;
+        # traceback is imported here so that only a failing run loads it
+        import traceback
+        traceback.print_exc()
+        document = {"error": f"internal error: {type(e).__name__}: {e}"}
+        code = 3
     document["schema"] = 1
     if pretty:
         text = json.dumps(document, sort_keys=True, indent=2)

@@ -438,8 +438,9 @@ def semigroup_member(gens, target):
 
     gens is a list of integer vectors spanning a pointed cone; returns
     None when target is not in the semigroup they generate. The search
-    is depth first with coefficient bounds from a strictly positive
-    functional on the cone.
+    is depth first on an explicit stack, one frame per generator, trying
+    each coefficient from its bound under a strictly positive functional
+    on the cone down to 0; the first hit is returned.
     """
     vecs = [list(g) for g in gens]
     n = len(target)
@@ -450,37 +451,36 @@ def semigroup_member(gens, target):
     span = cone([g for _, g in nonzero], n)
     if not span.is_pointed:
         raise ValueError("generators span a non-pointed cone; search unbounded")
-    w = [0] * n
-    for m in span.facet_normals:
-        w = zl.vadd(w, m)
+    w = reduce(zl.vadd, span.facet_normals)
     weights = [zl.dot(w, g) for _, g in nonzero]
     if any(x <= 0 for x in weights):
         raise ValueError("generators span a non-pointed cone; search unbounded")
-    normals = span.facet_normals
-
-    def feasible(rem):
-        return all(zl.dot(m, rem) >= 0 for m in normals)
-
-    if not feasible(target):
+    if not span.contains(target):
         return None
-    coeffs = [0] * len(nonzero)
 
-    def rec(i, rem, wrem):
-        if i == len(nonzero):
-            return not any(rem)
-        bound = wrem // weights[i]
-        g = nonzero[i][1]
-        for c in range(bound, -1, -1):
+    def choices(i, rem, wrem):
+        g, weight = nonzero[i][1], weights[i]
+        for c in range(wrem // weight, -1, -1):
             nrem = zl.vsub(rem, zl.vscale(c, g))
-            if not feasible(nrem):
-                continue
-            coeffs[i] = c
-            if rec(i + 1, nrem, wrem - c * weights[i]):
-                return True
-        coeffs[i] = 0
-        return False
+            if span.contains(nrem):
+                yield c, nrem, wrem - c * weight
 
-    if not rec(0, target, zl.dot(w, target)):
+    # frames[i] yields the feasible coefficients of generator i given
+    # coeffs[:i], and coeffs[i] holds the one being tried
+    coeffs, frames = [0], [choices(0, target, zl.dot(w, target))]
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            frames.pop()
+            coeffs.pop()
+            continue
+        coeffs[-1], rem, wrem = step
+        if len(frames) < len(nonzero):
+            coeffs.append(0)
+            frames.append(choices(len(frames), rem, wrem))
+        elif not any(rem):
+            break
+    else:
         return None
     out = [0] * len(vecs)
     for (i, _), c in zip(nonzero, coeffs):

@@ -341,38 +341,44 @@ def face_in_direction(P: LatticePolytope, u) -> LatticePolytope:
 
 
 def is_normal(P: LatticePolytope) -> bool:
-    """(P cap M) + (kP cap M) = ((k+1)P) cap M for k = 1..dim-1."""
+    """Whether (kP cap M) + (lP cap M) = ((k+l)P) cap M for all k, l >= 1,
+    M the saturated lattice of P's affine span.
+
+    The lattice points at height k of the cone over Q x {1}, Q from
+    project_full, are those of kQ, so P is normal exactly when every
+    element of that cone's Hilbert basis has height 1 (Cox-Little-Schenck,
+    Toric Varieties, 2011, section 2.2; Bruns-Gubeladze, Polytopes, Rings,
+    and K-Theory, 2009, ch. 2). The cost follows the normalized volume.
+    """
     Q, _ = project_full(P)
-    d = Q.dim
-    if d <= 1:
-        return True
-    levels = _projection_levels([y + [1] for y in Q.vertices])
-    A1 = {tuple(p) for p in _level_points(levels, 1)}
-    Ak = A1
-    for k in range(1, d):
-        target = {tuple(p) for p in _level_points(levels, k + 1)}
-        sums = {tuple(zl.vadd(list(a), list(b))) for a in A1 for b in Ak}
-        if sums != target:
-            return False
-        Ak = target
-    return True
+    C = cn.cone([v + [1] for v in Q.vertices], Q.ambient_dim + 1)
+    return all(h[-1] == 1 for h in cn.hilbert_basis(C).vectors)
+
+
+def _tangent_cones(Q: LatticePolytope):
+    """Pairs (v, cone(Q - v)) over the vertices v of Q: the tangent cone
+    at v is generated by the other vertices minus v."""
+    for v in Q.vertices:
+        yield v, cn.cone([zl.vsub(w, v) for w in Q.vertices if w != v],
+                         Q.ambient_dim)
 
 
 def is_very_ample(P: LatticePolytope) -> bool:
-    """Every Hilbert basis element of the vertex cone Cone(P cap M - v)
-    is a nonnegative integer combination of P cap M - v, per vertex."""
+    """Whether at each vertex v the semigroup generated by P cap M - v is
+    saturated, that is, all of cone(P - v) cap M, M the saturated lattice
+    of P's affine span.
+
+    A Hilbert basis element h of the tangent cone is irreducible in
+    cone(P - v) cap M, which contains P cap M - v, so h is a sum of
+    elements of P cap M - v only when it is one of them. P is therefore
+    very ample exactly when v + h lies in P for every such h and every
+    vertex v (Cox-Little-Schenck, Toric Varieties, 2011, section 2.2;
+    Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2).
+    """
     Q, _ = project_full(P)
-    d = Q.dim
-    if d == 0:
-        return True
-    pts = lattice_points(Q)
-    for v in Q.vertices:
-        S = [zl.vsub(p, v) for p in pts if p != v]
-        C = cn.cone(S, d)
-        for h in cn.hilbert_basis(C).vectors:
-            if cn.semigroup_member(S, h) is None:
-                return False
-    return True
+    return all(Q.contains(zl.vadd(v, h))
+               for v, tangent in _tangent_cones(Q)
+               for h in cn.hilbert_basis(tangent).vectors)
 
 
 def is_smooth(P: LatticePolytope) -> bool:
@@ -380,10 +386,4 @@ def is_smooth(P: LatticePolytope) -> bool:
     be smooth (those cones are the duals of the normal fan's maximal
     cones, and a full-dimensional cone is smooth iff its dual is)."""
     Q, _ = project_full(P)
-    if Q.dim == 0:
-        return True
-    for v in Q.vertices:
-        tangent = cn.cone([zl.vsub(w, v) for w in Q.vertices if w != v], Q.dim)
-        if not tangent.is_smooth:
-            return False
-    return True
+    return all(tangent.is_smooth for _, tangent in _tangent_cones(Q))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from toric_kernel import cones as cn
+from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
 from toric_kernel.zlattice import (Matrix, _add_col, _swap_col, copy_matrix,
                                    identity, shape)
@@ -414,4 +415,101 @@ def containment_all_cones(F):
         for f in normal_faces(c):
             ixs = tuple(i for i in I if f.contains(F.rays[i]))
             out.setdefault(ixs, f)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the sumset and semigroup-search predicates, the oracles of the Hilbert-basis
+# criteria in polytopes.py: ``sumset_is_normal``, ``search_is_very_ample`` and
+# ``recursive_semigroup_member`` are ``is_normal``, ``is_very_ample`` and
+# ``cones.semigroup_member`` as the library ran them before, unchanged apart
+# from their names
+
+def sumset_is_normal(P) -> bool:
+    """(P cap M) + (kP cap M) = ((k+1)P) cap M for k = 1..dim-1."""
+    Q, _ = pt.project_full(P)
+    d = Q.dim
+    if d <= 1:
+        return True
+    levels = pt._projection_levels([y + [1] for y in Q.vertices])
+    A1 = {tuple(p) for p in pt._level_points(levels, 1)}
+    Ak = A1
+    for k in range(1, d):
+        target = {tuple(p) for p in pt._level_points(levels, k + 1)}
+        sums = {tuple(zl.vadd(list(a), list(b))) for a in A1 for b in Ak}
+        if sums != target:
+            return False
+        Ak = target
+    return True
+
+
+def search_is_very_ample(P) -> bool:
+    """Every Hilbert basis element of the vertex cone Cone(P cap M - v)
+    is a nonnegative integer combination of P cap M - v, per vertex."""
+    Q, _ = pt.project_full(P)
+    d = Q.dim
+    if d == 0:
+        return True
+    pts = pt.lattice_points(Q)
+    for v in Q.vertices:
+        S = [zl.vsub(p, v) for p in pts if p != v]
+        C = cn.cone(S, d)
+        for h in cn.hilbert_basis(C).vectors:
+            if recursive_semigroup_member(S, h) is None:
+                return False
+    return True
+
+
+def recursive_semigroup_member(gens, target):
+    """Nonnegative integer coefficients c with sum c_i g_i = target.
+
+    gens is a list of integer vectors spanning a pointed cone; returns
+    None when target is not in the semigroup they generate. The search
+    is depth first with coefficient bounds from a strictly positive
+    functional on the cone.
+    """
+    vecs = [list(g) for g in gens]
+    n = len(target)
+    nonzero = [(i, g) for i, g in enumerate(vecs) if any(g)]
+    target = list(target)
+    if not nonzero:
+        return [0] * len(vecs) if not any(target) else None
+    span = cn.cone([g for _, g in nonzero], n)
+    if not span.is_pointed:
+        raise ValueError("generators span a non-pointed cone; search unbounded")
+    w = [0] * n
+    for m in span.facet_normals:
+        w = zl.vadd(w, m)
+    weights = [zl.dot(w, g) for _, g in nonzero]
+    if any(x <= 0 for x in weights):
+        raise ValueError("generators span a non-pointed cone; search unbounded")
+    normals = span.facet_normals
+
+    def feasible(rem):
+        return all(zl.dot(m, rem) >= 0 for m in normals)
+
+    if not feasible(target):
+        return None
+    coeffs = [0] * len(nonzero)
+
+    def rec(i, rem, wrem):
+        if i == len(nonzero):
+            return not any(rem)
+        bound = wrem // weights[i]
+        g = nonzero[i][1]
+        for c in range(bound, -1, -1):
+            nrem = zl.vsub(rem, zl.vscale(c, g))
+            if not feasible(nrem):
+                continue
+            coeffs[i] = c
+            if rec(i + 1, nrem, wrem - c * weights[i]):
+                return True
+        coeffs[i] = 0
+        return False
+
+    if not rec(0, target, zl.dot(w, target)):
+        return None
+    out = [0] * len(vecs)
+    for (i, _), c in zip(nonzero, coeffs):
+        out[i] = c
     return out

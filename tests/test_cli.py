@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import within
 
 import toric_kernel.cli as cli
 from toric_kernel import cones as cn
@@ -405,9 +406,25 @@ class TestDomainErrors:
         def handler(payload):
             return [][0]
         monkeypatch.setitem(cli._HANDLERS, "cone rays", handler)
-        with pytest.raises(IndexError):
-            call(capsys, "cone rays", {})
-        assert capsys.readouterr().out == ""
+        doc = call(capsys, "cone rays", {}, expect=3)
+        assert doc == {"error": "internal error: IndexError: list index out of range",
+                       "schema": 1}
+
+    @pytest.mark.parametrize("error", [AssertionError("invariant broken"),
+                                       RecursionError("too deep")])
+    def test_internal_errors_exit_3(self, capsys, monkeypatch, error):
+        def handler(payload):
+            raise error
+        monkeypatch.setitem(cli._HANDLERS, "polytope volume", handler)
+        request = json.dumps({"schema": 1, "payload": {}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(request))
+        code = cli.main(["polytope", "volume"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {
+            "error": f"internal error: {type(error).__name__}: {error}",
+            "schema": 1}
+        assert "Traceback" in captured.err
 
     def test_invalid_fan_is_reported_not_raised(self, capsys):
         doc = call(capsys, "fan validate",
@@ -516,6 +533,15 @@ class TestPolytopeCommands:
         assert call(capsys, "polytope is-normal", simplex)["value"] is True
         assert call(capsys, "polytope is-very-ample",
                     simplex)["value"] is True
+
+    def test_very_ample_cube_past_the_recursion_limit(self, capsys):
+        # 1,331 lattice points: a search with one recursion level per
+        # point raised RecursionError here
+        cube = {"points": [[a, b, c] for a in (0, 10) for b in (0, 10)
+                           for c in (0, 10)]}
+        with within(2):
+            doc = call(capsys, "polytope is-very-ample", cube)
+        assert doc["value"] is True
 
     def test_project_full(self, capsys):
         doc = call(capsys, "polytope project-full",

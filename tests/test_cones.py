@@ -4,7 +4,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from conftest import within
+from conftest import recursive_semigroup_member, within
 from hypothesis import given, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -233,6 +233,41 @@ class TestSemigroupMember:
         for c, g in zip(got, [[1, 0], [0, 1], [1, 1]]):
             total = zl.vadd(total, zl.vscale(c, g))
         assert total == [3, 2]
+
+    def test_same_coefficients_as_the_recursive_search(self):
+        # the stack walks the same order, bound down to 0 with the first
+        # hit kept, so every answer is the oracle's exact vector
+        rng = random.Random(20261019)
+        outcomes = {"found": 0, "none": 0, "raised": 0}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            gens = [[rng.randint(-2, 3) for _ in range(n)]
+                    for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.2:
+                gens.insert(rng.randrange(len(gens) + 1), [0] * n)
+            targets = [[rng.randint(-2, 6) for _ in range(n)]]
+            coeffs = [rng.randint(0, 3) for _ in gens]
+            targets.append([sum(c * g[j] for c, g in zip(coeffs, gens))
+                            for j in range(n)])
+            for t in targets:
+                try:
+                    want = recursive_semigroup_member(gens, t)
+                except ValueError:
+                    with pytest.raises(ValueError, match="non-pointed"):
+                        cn.semigroup_member(gens, t)
+                    outcomes["raised"] += 1
+                    continue
+                assert cn.semigroup_member(gens, t) == want, (gens, t)
+                outcomes["none" if want is None else "found"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_depth_past_the_recursion_limit(self):
+        # only the last of 1,200 generators reaches the target, so the
+        # search holds one frame per generator
+        gens = [[1, k] for k in range(1200)]
+        with within(2):
+            got = cn.semigroup_member(gens, [1, 1199])
+        assert got == [0] * 1199 + [1]
 
 
 class TestDistinguished:
