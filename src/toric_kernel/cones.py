@@ -13,6 +13,7 @@ pulling triangulation of the Hilbert basis are read off these masks.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 from operator import and_, ge
 
 from . import zlattice as zl
@@ -127,7 +128,7 @@ class Cone:
     """
 
     __slots__ = ("ambient_dim", "generators", "dual_lineality", "dual_rays",
-                 "zero_sets", "facet_normals", "dim", "is_pointed", "_rays")
+                 "zero_sets", "facet_normals", "dim", "is_pointed", "_extreme")
 
     def __init__(self, ambient_dim, generators, dual_lineality, dual_rays, zero_sets):
         self.ambient_dim = ambient_dim
@@ -146,7 +147,7 @@ class Cone:
         # dual, and it is positive on every generator exactly when sigma
         # is pointed
         self.is_pointed = reduce(and_, zero_sets, (1 << len(generators)) - 1) == 0
-        self._rays = None
+        self._extreme = None
 
     # -- membership and comparisons ------------------------------------
 
@@ -181,9 +182,8 @@ class Cone:
     def is_full_dim(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def rays(self):
-        """Primitive generators of the 1-dimensional faces, in the order
-        the corresponding generators were given.
+    def _ray_mask(self):
+        """Bitmask of the extreme generators of a pointed cone.
 
         The zero sets of the dual rays are those of sigma's facets, so
         the smallest face containing a generator g_i is spanned by the
@@ -192,14 +192,20 @@ class Cone:
         since the generators are distinct and primitive and the cone is
         pointed. So g_i is extreme exactly when that set is {i}.
         """
+        if self._extreme is None:
+            full = (1 << len(self.generators)) - 1
+            self._extreme = sum(
+                1 << i for i in range(len(self.generators))
+                if reduce(and_, (Z for Z in self.zero_sets if Z >> i & 1), full) == 1 << i)
+        return self._extreme
+
+    def rays(self):
+        """Primitive generators of the 1-dimensional faces, in the order
+        the corresponding generators were given."""
         if not self.is_pointed:
             raise ValueError("rays of a non-pointed cone are undefined")
-        if self._rays is None:
-            full = (1 << len(self.generators)) - 1
-            self._rays = [g for i, g in enumerate(self.generators)
-                          if reduce(and_, (Z for Z in self.zero_sets if Z >> i & 1),
-                                    full) == 1 << i]
-        return [list(r) for r in self._rays]
+        mask = self._ray_mask()
+        return [list(g) for i, g in enumerate(self.generators) if mask >> i & 1]
 
     @property
     def is_simplicial(self) -> bool:
@@ -268,15 +274,16 @@ def cone(gens, ambient: int) -> Cone:
     and deduplicated with their order kept. The empty list gives the
     zero cone.
     """
-    vecs = []
+    # dict keys keep the first-seen order
+    vecs = {}
     for g in gens:
         g = [int(x) for x in g]
         if len(g) != ambient:
             raise ValueError(f"generator {g} does not live in dimension {ambient}")
         if any(g):
             p = zl.primitive(g)
-            if p not in vecs:
-                vecs.append(p)
+            vecs.setdefault(tuple(p), p)
+    vecs = list(vecs.values())
     return Cone(ambient, vecs, *halfspace_generators(vecs, ambient))
 
 
@@ -329,26 +336,15 @@ def _parallelepiped_points(S, d):
     """Nonzero lattice points of {S t : t in [0,1)^d}, S a d x d matrix
     with linearly independent columns."""
     H, _ = zl.hnf(S)
-    bounds = [H[i][i] for i in range(d)]
     # S^-1 a = adj a / det, and // floors the exact quotient for either
     # sign of det
     adj, det = zl.adjugate(S)
     points = set()
-    idx = [0] * d
-
-    def rec(i):
-        if i == d:
-            a = list(idx)
-            shift = [x // det for x in zl.mat_vec(adj, a)]
-            x = zl.vsub(a, zl.mat_vec(S, shift))
-            if any(x):
-                points.add(tuple(x))
-            return
-        for v in range(bounds[i]):
-            idx[i] = v
-            rec(i + 1)
-
-    rec(0)
+    for a in product(*(range(H[i][i]) for i in range(d))):
+        shift = [x // det for x in zl.mat_vec(adj, a)]
+        x = zl.vsub(a, zl.mat_vec(S, shift))
+        if any(x):
+            points.add(tuple(x))
     return points
 
 
@@ -413,10 +409,8 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
         return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
     normals = sigma.facet_normals
     gens = sigma.generators
-    # the generators are distinct, so the rays name their indices
-    extreme = sum(1 << i for i, g in enumerate(gens) if g in R)
     candidates = {tuple(r) for r in R}
-    for s in pulling_triangulation(sigma.zero_sets, extreme, d):
+    for s in pulling_triangulation(sigma.zero_sets, sigma._ray_mask(), d):
         M = zl.from_columns([gens[i] for i in s], rows=d)
         candidates |= _parallelepiped_points(M, d)
     # c - a lies in sigma exactly when its values on the normals are >= 0

@@ -1,10 +1,12 @@
 """Lattice polytopes: hulls, lattice points, volumes, Ehrhart data.
 
-A polytope is stored by its lexicographically sorted vertex list plus
-the minimal H-representation: facet pairs (u, a) meaning <u, x> + a >= 0
-with u a primitive inward normal, and, for polytopes that are not
-full-dimensional, extra equation pairs (u, a) meaning <u, x> + a = 0
-cutting out the affine span.
+A polytope P keeps ``cone``, the cone over P x {1} that ``hull`` builds
+on the distinct input points; its dimension, its membership test and
+its lexicographically sorted vertex list are read off that cone. The
+minimal H-representation comes from the same cone: facet pairs (u, a)
+meaning <u, x> + a >= 0 with u a primitive inward normal, and, for
+polytopes that are not full-dimensional, extra equation pairs (u, a)
+meaning <u, x> + a = 0 cutting out the affine span.
 """
 
 from __future__ import annotations
@@ -20,20 +22,30 @@ from . import zlattice as zl
 
 
 class LatticePolytope:
+    """The polytope P whose homogenized cone, cone(P x {1}), is ``cone``.
 
-    __slots__ = ("ambient_dim", "vertices", "facets", "equations", "dim",
+    The cone's generators are the distinct points given to ``hull`` at
+    height 1, in first-seen order; its rays are the vertices and its
+    dual rays and dual lineality the facets and equations. Inequalities
+    that are vacuous on the affine span (they reduce to a positive
+    constant) are dropped, so a single point has no facets, only
+    equations.
+    """
+
+    __slots__ = ("cone", "ambient_dim", "vertices", "facets", "equations", "dim",
                  "_points")
 
-    def __init__(self, ambient_dim, vertices, facets, equations):
-        self.ambient_dim = ambient_dim
-        self.vertices = vertices
-        self.facets = facets
-        self.equations = equations
-        if len(vertices) > 1:
-            v0 = vertices[0]
-            self.dim = zl.rank([zl.vsub(v, v0) for v in vertices[1:]])
-        else:
-            self.dim = 0
+    def __init__(self, C):
+        self.cone = C
+        self.ambient_dim = C.ambient_dim - 1
+        self.dim = C.dim - 1
+        self.vertices = sorted(r[:-1] for r in C.rays())
+        lin_span = zl.RowEchelon(b[:-1] for b in C.dual_lineality)
+        # u = 0 or u in the span of the equation normals: equivalent,
+        # modulo the span equations, to a constant inequality
+        self.facets = sorted((m[:-1], m[-1]) for m in C.dual_rays
+                             if any(lin_span.residue(m[:-1])))
+        self.equations = sorted((b[:-1], b[-1]) for b in C.dual_lineality)
         self._points = None
 
     @property
@@ -41,8 +53,7 @@ class LatticePolytope:
         return self.dim == self.ambient_dim
 
     def contains(self, x) -> bool:
-        return (all(zl.dot(u, x) + a >= 0 for u, a in self.facets)
-                and all(zl.dot(u, x) + a == 0 for u, a in self.equations))
+        return self.cone.contains([*x, 1])
 
     def __eq__(self, other):
         return (isinstance(other, LatticePolytope)
@@ -59,36 +70,19 @@ class LatticePolytope:
 def hull(points) -> LatticePolytope:
     """Convex hull of integer points.
 
-    Homogenizes to height 1 and reads vertices and facets off the cone
-    machinery. Inequalities that are vacuous on the affine span (they
-    reduce to a positive constant) are dropped, so a single point has no
-    facets, only equations.
+    Builds the cone over the points at height 1; ``cn.cone`` drops
+    repeated points and keeps the first-seen order. For a polytope that
+    is not full-dimensional the facet inequalities and the equations
+    depend on the order of the points, since the double description
+    lifts them from a quotient whose basis follows the input: the same
+    triangle listed in another order can print other (equivalent)
+    inequalities and equations. The vertices and ``contains`` do not
+    depend on the order.
     """
-    # dict keys keep the first-seen order, so the cone's generators do too
-    pts = [list(p) for p in dict.fromkeys(tuple(int(x) for x in p)
-                                          for p in points)]
-    if not pts:
+    gens = [[int(x) for x in p] + [1] for p in points]
+    if not gens:
         raise ValueError("hull of an empty point set")
-    n = len(pts[0])
-    C = cn.cone([p + [1] for p in pts], n + 1)
-    verts = []
-    for r in C.rays():
-        if r[-1] != 1:
-            raise AssertionError("homogenized cone has a ray at height != 1")
-        verts.append(r[:-1])
-    verts.sort()
-    lin_span = zl.RowEchelon(b[:-1] for b in C.dual_lineality)
-    facets = []
-    for m in C.dual_rays:
-        u, a = m[:-1], m[-1]
-        if not any(lin_span.residue(u)):
-            # u = 0 or u in the span of the equation normals: equivalent,
-            # modulo the span equations, to a constant inequality
-            continue
-        facets.append((u, a))
-    facets.sort()
-    equations = sorted((b[:-1], b[-1]) for b in C.dual_lineality)
-    return LatticePolytope(n, verts, facets, equations)
+    return LatticePolytope(cn.cone(gens, len(gens[0])))
 
 
 def newton_polytope(exponents) -> LatticePolytope:
@@ -99,14 +93,7 @@ def newton_polytope(exponents) -> LatticePolytope:
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if k == 0:
-        return hull([[0] * P.ambient_dim])
-    if k == 1:
-        return P
-    verts = [zl.vscale(k, v) for v in P.vertices]
-    facets = [(list(u), k * a) for u, a in P.facets]
-    eqs = [(list(u), k * a) for u, a in P.equations]
-    return LatticePolytope(P.ambient_dim, verts, facets, eqs)
+    return hull([zl.vscale(k, v) for v in P.vertices])
 
 
 def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
@@ -127,18 +114,25 @@ def hull_lattice_points(gens):
     """
     if not gens:
         return []
-    return _level_points(_projection_levels(gens), 1)
+    return _level_points(_projection_levels(cn.cone(gens, len(gens[0]))), 1)
 
 
-def _projection_levels(gens):
+def _projection_levels(C):
     """(lower, upper) bound triples of each coordinate for
     hull_lattice_points: c x_i + s >= 0 for each lower triple (u, a, c),
-    s - c x_i >= 0 for each upper one, where s = <u, x_0..x_{i-1}> + a."""
+    s - c x_i >= 0 for each upper one, where s = <u, x_0..x_{i-1}> + a.
+
+    C is the homogenized cone of the hull, pointed, with its height last.
+    Its own facet normals bound the last coordinate; for each earlier
+    one, the cone over its rays truncated to x_0..x_i and the height is
+    the projection onto those coordinates."""
+    n = C.ambient_dim - 1
+    rays = C.rays()
     levels = []
-    for i in range(len(gens[0]) - 1):
-        C = cn.cone([g[:i + 1] + g[-1:] for g in gens], i + 2)
-        lower = [(m[:i], m[-1], m[i]) for m in C.facet_normals if m[i] > 0]
-        upper = [(m[:i], m[-1], -m[i]) for m in C.facet_normals if m[i] < 0]
+    for i in range(n):
+        proj = C if i == n - 1 else cn.cone([r[:i + 1] + r[-1:] for r in rays], i + 2)
+        lower = [(m[:i], m[-1], m[i]) for m in proj.facet_normals if m[i] > 0]
+        upper = [(m[:i], m[-1], -m[i]) for m in proj.facet_normals if m[i] < 0]
         levels.append((lower, upper))
     return levels
 
@@ -170,13 +164,14 @@ def _level_points(levels, k):
 def lattice_points(P: LatticePolytope):
     """All integer points of P, sorted lexicographically.
 
-    hull_lattice_points enumerates the full-dimensional image of P under
-    project_full, so the cost is the number of points plus the prefixes
-    that dead-end on an integer gap.
+    The projection levels of Q.cone, Q the full-dimensional image of P
+    under project_full, enumerate Q's points as hull_lattice_points
+    does, so the cost is the number of points plus the prefixes that
+    dead-end on an integer gap.
     """
     if P._points is None:
         Q, (x0, L) = project_full(P)
-        pts = hull_lattice_points([y + [1] for y in Q.vertices])
+        pts = _level_points(_projection_levels(Q.cone), 1)
         if Q is not P:
             pts = sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in pts)
         P._points = pts
@@ -326,7 +321,7 @@ def ehrhart(P: LatticePolytope) -> zl.RationalPolynomial:
     """Lattice-point counting polynomial of P, via exact interpolation
     of the counts of the first dim+1 dilates."""
     Q, _ = project_full(P)
-    levels = _projection_levels([y + [1] for y in Q.vertices])
+    levels = _projection_levels(Q.cone)
     data = []
     for k in range(Q.dim + 1):
         data.append((k, len(_level_points(levels, k))))
@@ -351,8 +346,7 @@ def is_normal(P: LatticePolytope) -> bool:
     and K-Theory, 2009, ch. 2). The cost follows the normalized volume.
     """
     Q, _ = project_full(P)
-    C = cn.cone([v + [1] for v in Q.vertices], Q.ambient_dim + 1)
-    return all(h[-1] == 1 for h in cn.hilbert_basis(C).vectors)
+    return all(h[-1] == 1 for h in cn.hilbert_basis(Q.cone).vectors)
 
 
 def _tangent_cones(Q: LatticePolytope):

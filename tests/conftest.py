@@ -431,7 +431,7 @@ def sumset_is_normal(P) -> bool:
     d = Q.dim
     if d <= 1:
         return True
-    levels = pt._projection_levels([y + [1] for y in Q.vertices])
+    levels = pt._projection_levels(Q.cone)
     A1 = {tuple(p) for p in pt._level_points(levels, 1)}
     Ak = A1
     for k in range(1, d):
@@ -513,3 +513,112 @@ def recursive_semigroup_member(gens, target):
     for (i, _), c in zip(nonzero, coeffs):
         out[i] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# the polytope layer before a LatticePolytope kept the cone its hull built,
+# the oracles of polytopes.py: ``rank_hull``, ``scaled_dilate``,
+# ``gens_projection_levels``, ``gens_hull_lattice_points``,
+# ``gens_lattice_points``, ``gens_ehrhart`` and ``rebuilt_cone_is_normal`` are
+# ``hull``, ``dilate``, ``_projection_levels``, ``hull_lattice_points``,
+# ``lattice_points`` (without its cache), ``ehrhart`` and ``is_normal`` as the
+# library ran them before, apart from their names and the small
+# ``RankPolytope`` record that stands in for the old ``LatticePolytope``
+
+class RankPolytope:
+    """Vertices, facets and equations, with a dimension from a rank and
+    membership from dot products."""
+
+    def __init__(self, ambient_dim, vertices, facets, equations):
+        self.ambient_dim = ambient_dim
+        self.vertices = vertices
+        self.facets = facets
+        self.equations = equations
+        if len(vertices) > 1:
+            v0 = vertices[0]
+            self.dim = zl.rank([zl.vsub(v, v0) for v in vertices[1:]])
+        else:
+            self.dim = 0
+
+    def contains(self, x) -> bool:
+        return (all(zl.dot(u, x) + a >= 0 for u, a in self.facets)
+                and all(zl.dot(u, x) + a == 0 for u, a in self.equations))
+
+
+def rank_hull(points) -> RankPolytope:
+    pts = [list(p) for p in dict.fromkeys(tuple(int(x) for x in p)
+                                          for p in points)]
+    if not pts:
+        raise ValueError("hull of an empty point set")
+    n = len(pts[0])
+    C = cn.cone([p + [1] for p in pts], n + 1)
+    verts = []
+    for r in C.rays():
+        if r[-1] != 1:
+            raise AssertionError("homogenized cone has a ray at height != 1")
+        verts.append(r[:-1])
+    verts.sort()
+    lin_span = zl.RowEchelon(b[:-1] for b in C.dual_lineality)
+    facets = []
+    for m in C.dual_rays:
+        u, a = m[:-1], m[-1]
+        if not any(lin_span.residue(u)):
+            continue
+        facets.append((u, a))
+    facets.sort()
+    equations = sorted((b[:-1], b[-1]) for b in C.dual_lineality)
+    return RankPolytope(n, verts, facets, equations)
+
+
+def scaled_dilate(P: RankPolytope, k: int) -> RankPolytope:
+    if k < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    if k == 0:
+        return rank_hull([[0] * P.ambient_dim])
+    if k == 1:
+        return P
+    verts = [zl.vscale(k, v) for v in P.vertices]
+    facets = [(list(u), k * a) for u, a in P.facets]
+    eqs = [(list(u), k * a) for u, a in P.equations]
+    return RankPolytope(P.ambient_dim, verts, facets, eqs)
+
+
+def gens_projection_levels(gens):
+    """(lower, upper) bound triples of each coordinate, from one cone
+    over the truncated generators per coordinate."""
+    levels = []
+    for i in range(len(gens[0]) - 1):
+        C = cn.cone([g[:i + 1] + g[-1:] for g in gens], i + 2)
+        lower = [(m[:i], m[-1], m[i]) for m in C.facet_normals if m[i] > 0]
+        upper = [(m[:i], m[-1], -m[i]) for m in C.facet_normals if m[i] < 0]
+        levels.append((lower, upper))
+    return levels
+
+
+def gens_hull_lattice_points(gens):
+    if not gens:
+        return []
+    return pt._level_points(gens_projection_levels(gens), 1)
+
+
+def gens_lattice_points(P):
+    Q, (x0, L) = pt.project_full(P)
+    pts = gens_hull_lattice_points([y + [1] for y in Q.vertices])
+    if Q is not P:
+        pts = sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in pts)
+    return pts
+
+
+def gens_ehrhart(P) -> zl.RationalPolynomial:
+    Q, _ = pt.project_full(P)
+    levels = gens_projection_levels([y + [1] for y in Q.vertices])
+    data = []
+    for k in range(Q.dim + 1):
+        data.append((k, len(pt._level_points(levels, k))))
+    return zl.interpolate(data)
+
+
+def rebuilt_cone_is_normal(P) -> bool:
+    Q, _ = pt.project_full(P)
+    C = cn.cone([v + [1] for v in Q.vertices], Q.ambient_dim + 1)
+    return all(h[-1] == 1 for h in cn.hilbert_basis(C).vectors)
