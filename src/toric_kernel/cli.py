@@ -547,7 +547,7 @@ def _ideal_hilbert_function(p):
         if d < 0:
             raise SchemaError("degrees must be nonnegative",
                               f"{_P}/degrees/{i}")
-    return {"values": [w_int(il.hilbert_function(A, d)) for d in degrees]}
+    return {"values": [w_int(v) for v in il.hilbert_function_values(A, degrees)]}
 
 
 # -- divisor -------------------------------------------------------------

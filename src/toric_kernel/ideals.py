@@ -751,14 +751,35 @@ def is_homogeneous_config(A: zl.Matrix):
 
 def hilbert_function(A: zl.Matrix, d: int) -> int:
     """Cardinality of the d-fold sumset of the columns of A."""
-    if d < 0:
+    return hilbert_function_values(A, [d])[0]
+
+
+def hilbert_function_values(A: zl.Matrix, degrees) -> list[int]:
+    """hilbert_function(A, d) for each d in degrees, from one incremental
+    sumset: the (d + 1)-fold one is the d-fold one plus each column.
+
+    Each column a becomes the integer sum_i (a_i - lo_i) B_i, lo_i the
+    least entry of row i and B_i the product of the earlier bases
+    top * span_j + 1, top the largest degree. The digits of a sum of at
+    most top columns stay below their bases, so two such sums of the same
+    number of columns are equal exactly when their integers are, and set
+    addition is integer addition.
+    """
+    if any(d < 0 for d in degrees):
         raise ValueError("d must be nonnegative")
-    n, s = zl.shape(A)
-    points = {tuple(col) for col in zl.columns(A)}
-    current = {(0,) * n}
-    for _ in range(d):
-        current = {_mono_mul(a, p) for a in current for p in points}
-    return len(current)
+    top = max(degrees, default=0)
+    code, base = [0] * zl.shape(A)[1], 1
+    for row in A:
+        lo = min(row, default=0)
+        for j, x in enumerate(row):
+            code[j] += (x - lo) * base
+        base *= top * (max(row, default=0) - lo) + 1
+    code = set(code)
+    current, sizes = {0}, [1]
+    for _ in range(top):
+        current = {c + p for c in current for p in code}
+        sizes.append(len(current))
+    return [sizes[d] for d in degrees]
 
 
 def chart_config(A: zl.Matrix, i: int) -> zl.Matrix:

@@ -137,28 +137,89 @@ def _projection_levels(C):
     return levels
 
 
+def _scaled(levels, k):
+    """The levels of k times the hull: the projections of kQ are those of
+    Q with every offset a scaled by k."""
+    return [([(u, k * a, c) for u, a, c in lower],
+             [(u, k * a, c) for u, a, c in upper]) for lower, upper in levels]
+
+
+def _bounds(level, x):
+    """The integer values of the next coordinate after the prefix x, as
+    range arguments: from the (lower, upper) triples of its level."""
+    lower, upper = level
+    return (-min((sum(map(mul, u, x)) + a) // c for u, a, c in lower),
+            min((sum(map(mul, u, x)) + a) // c for u, a, c in upper) + 1)
+
+
+def _prefixes(levels):
+    """Every integer prefix x_0..x_{m-1} that the m levels admit, in
+    lexicographic order, as one list that is overwritten between yields.
+
+    A loop over one range per coordinate, so its depth is the stack's
+    length and not Python's call depth.
+    """
+    x = [0] * len(levels)
+    if not levels:
+        yield x
+        return
+    stack = [iter(range(*_bounds(levels[0], x)))]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
+            x[i] = v
+            if i + 1 == len(levels):
+                yield x
+            else:
+                stack.append(iter(range(*_bounds(levels[i + 1], x))))
+                break
+        else:
+            stack.pop()
+
+
 def _level_points(levels, k):
-    """Integer points of k times the hull the levels describe: the
-    projections of kQ are those of Q with every offset a scaled by k."""
-    levels = [([(u, k * a, c) for u, a, c in lower],
-               [(u, k * a, c) for u, a, c in upper]) for lower, upper in levels]
-    d = len(levels)
-    points, x = [], []
+    """Integer points of k times the hull the levels describe, in
+    lexicographic order."""
+    return [list(x) for x in _prefixes(_scaled(levels, k))]
 
-    def rec(i):
-        if i == d:
-            points.append(list(x))
-            return
-        lower, upper = levels[i]
-        lo = -min((sum(map(mul, u, x)) + a) // c for u, a, c in lower)
-        hi = min((sum(map(mul, u, x)) + a) // c for u, a, c in upper)
-        for v in range(lo, hi + 1):
-            x.append(v)
-            rec(i + 1)
-            x.pop()
 
-    rec(0)
-    return points
+def _level_counts(levels, flat, k, interior):
+    """(#(kQ cap Z^n), #(int(kQ) cap Z^n)) for Q full-dimensional, n >= 2,
+    from one walk over the prefixes x_0..x_{n-3} of kQ; the second count
+    is 0 unless ``interior`` asks for it.
+
+    For v = x_{n-2} in its range each facet (u, a, c) of the last level
+    has slack s + w v, and x_{n-1} has a closed range from the floor
+    divisions of the slacks by c and a strict one, where every facet is
+    positive, from the slacks minus 1, since facet values are integers.
+    ``flat`` holds the facets (u, a) whose normal ends in 0: they do not
+    bound x_{n-1}, so the strict range counts only where
+    <u, x> + k a >= 1, which bounds v to a range of its own.
+    """
+    *head, (lower1, upper1), (lower, upper) = _scaled(levels, k)
+    flat = [(u, k * a - 1, u[-1]) for u, a in flat]
+    closed = strict = 0
+    for x in _prefixes(head):
+        lo = [(sum(map(mul, u, x)) + a, u[-1], c) for u, a, c in lower]
+        up = [(sum(map(mul, u, x)) + a, u[-1], c) for u, a, c in upper]
+        start, stop = _bounds((lower1, upper1), x)
+        # v with every flat slack >= 1, as the half-open [fstart, fstop)
+        fstart, fstop = start, stop
+        for u, a, w in flat:
+            s = sum(map(mul, u, x)) + a
+            if w > 0:
+                fstart = max(fstart, -(s // w))
+            elif w < 0:
+                fstop = min(fstop, s // -w + 1)
+            elif s < 0:
+                fstop = fstart
+        for v in range(start, stop):
+            closed += (min((s + w * v) // c for s, w, c in lo)
+                       + min((s + w * v) // c for s, w, c in up) + 1)
+            if interior and fstart <= v < fstop:
+                strict += max(0, min((s + w * v - 1) // c for s, w, c in lo)
+                              + min((s + w * v - 1) // c for s, w, c in up) + 1)
+    return closed, strict
 
 
 def lattice_points(P: LatticePolytope):
@@ -318,13 +379,38 @@ def mixed_volume(polys) -> int:
 
 
 def ehrhart(P: LatticePolytope) -> zl.RationalPolynomial:
-    """Lattice-point counting polynomial of P, via exact interpolation
-    of the counts of the first dim+1 dilates."""
+    """Lattice-point counting polynomial L(k) = #(kP cap M) of P, M the
+    saturated lattice of P's affine span.
+
+    L has degree d = dim P and L(0) = 1. With Q the full-dimensional
+    image from project_full, Ehrhart-Macdonald reciprocity gives
+    L(-k) = (-1)^d #(int(kQ) cap M) (Beck-Robins, Computing the
+    Continuous Discretely, 2007, Thm. 4.1), so the d + 1 interpolation
+    nodes come from the dilates k = 1..ceil(d/2): L(k) from each and
+    L(-k) from those with k <= d/2. One walk over the prefixes of kQ, on
+    the projection levels of Q.cone, counts kQ and its interior together:
+    at the last coordinate it adds the closed range and, where every
+    facet is positive, the strict range. The facets whose normal ends in
+    0 do not bound that coordinate, so they bound the prefix instead. No
+    point list and no further cone is built.
+    """
     Q, _ = project_full(P)
+    d = Q.dim
+    if d == 0:
+        return zl.RationalPolynomial([1])
+    if d == 1:
+        # a segment [a, b] of Z^1: L(k) = 1 + k (b - a)
+        (a,), (b,) = Q.vertices
+        return zl.RationalPolynomial([1, b - a])
     levels = _projection_levels(Q.cone)
-    data = []
-    for k in range(Q.dim + 1):
-        data.append((k, len(_level_points(levels, k))))
+    flat = [(m[:-2], m[-1]) for m in Q.cone.facet_normals if m[-2] == 0]
+    data = [(0, 1)]
+    for k in range(1, (d + 1) // 2 + 1):
+        interior = 2 * k <= d
+        closed, strict = _level_counts(levels, flat, k, interior)
+        data.append((k, closed))
+        if interior:
+            data.append((-k, (-1) ** d * strict))
     return zl.interpolate(data)
 
 

@@ -14,7 +14,7 @@ from toric_kernel import zlattice as zl
 from toric_kernel.zlattice import (Matrix, _add_col, _swap_col, copy_matrix,
                                    identity, shape)
 from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
-                                  _mask, _mono_divides, _pair_loop)
+                                  _mask, _mono_divides, _mono_mul, _pair_loop)
 
 
 @contextmanager
@@ -622,3 +622,32 @@ def rebuilt_cone_is_normal(P) -> bool:
     Q, _ = pt.project_full(P)
     C = cn.cone([v + [1] for v in Q.vertices], Q.ambient_dim + 1)
     return all(h[-1] == 1 for h in cn.hilbert_basis(C).vectors)
+
+
+# ---------------------------------------------------------------------------
+# the listing and per-degree oracles of the counting code: ``listing_ehrhart``
+# and ``tuple_hilbert_function`` are ``polytopes.ehrhart`` and
+# ``ideals.hilbert_function`` as the library ran them before, unchanged apart
+# from their names
+
+def listing_ehrhart(P: pt.LatticePolytope) -> zl.RationalPolynomial:
+    """Lattice-point counting polynomial of P, via exact interpolation
+    of the counts of the first dim+1 dilates."""
+    Q, _ = pt.project_full(P)
+    levels = pt._projection_levels(Q.cone)
+    data = []
+    for k in range(Q.dim + 1):
+        data.append((k, len(pt._level_points(levels, k))))
+    return zl.interpolate(data)
+
+
+def tuple_hilbert_function(A: zl.Matrix, d: int) -> int:
+    """Cardinality of the d-fold sumset of the columns of A."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    n, s = zl.shape(A)
+    points = {tuple(col) for col in zl.columns(A)}
+    current = {(0,) * n}
+    for _ in range(d):
+        current = {_mono_mul(a, p) for a in current for p in points}
+    return len(current)

@@ -5,7 +5,7 @@ from math import gcd
 import random
 
 import pytest
-from conftest import within
+from conftest import tuple_hilbert_function, within
 from hypothesis import given, settings, strategies as st
 
 from toric_kernel import ideals as il
@@ -532,6 +532,41 @@ class TestHilbertFunction:
         A = zl.from_columns(cols, rows=2)
         P = pt.dilate(pt.hull(cols), d)
         assert il.hilbert_function(A, d) <= len(pt.lattice_points(P))
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_radix_sumset_matches_tuple_sumset(self, seed):
+        # entries of both signs, repeated columns, zero rows and columns
+        rng = random.Random(seed)
+        n, s = rng.randint(1, 4), rng.randint(0, 6)
+        A = [[rng.randint(-4, 4) * (r % 3 != 2) for _ in range(s)] for r in range(n)]
+        if s > 1 and seed % 2:
+            for row in A:
+                row[-1] = row[0]
+        degrees = rng.sample(range(7), 4)
+        assert il.hilbert_function_values(A, degrees) == \
+            [tuple_hilbert_function(A, d) for d in degrees]
+        d = degrees[0]
+        assert il.hilbert_function(A, d) == tuple_hilbert_function(A, d)
+
+    def test_values_keep_the_request_order(self):
+        assert il.hilbert_function_values([[0, 2, 3]], [4, 0, 2, 4]) == [12, 1, 6, 12]
+        assert il.hilbert_function_values([[0, 2, 3]], []) == []
+
+    def test_negative_degree_among_values(self):
+        with pytest.raises(ValueError):
+            il.hilbert_function_values(KUSH, [2, -1])
+
+    def test_thirty_degrees_of_a_four_by_seven_configuration(self):
+        # homogeneous: the first row is all ones; the tuple sumset took
+        # minutes for these 31 degrees, rebuilt once per degree
+        rng = random.Random(4)
+        A = [[1] * 7] + [[rng.randint(0, 6) for _ in range(7)] for _ in range(3)]
+        with within(10):
+            values = il.hilbert_function_values(A, range(31))
+        assert values[:4] == [tuple_hilbert_function(A, d) for d in range(4)]
+        assert values[0] == 1 and values[1] == 7
+        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestChartConfig:

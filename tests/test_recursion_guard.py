@@ -16,7 +16,6 @@ PACKAGE = Path(toric_kernel.__file__).resolve().parent
 ALLOWED = {
     "cones.pulling_triangulation": "one level per dimension of the face",
     "cones.hilbert_basis": "one level: the inner call is on a full-dimensional cone",
-    "polytopes._level_points.rec": "one level per coordinate of the polytope",
     "cli._digits": "logarithmic in the bit length: each call halves the digit count",
 }
 
