@@ -94,12 +94,13 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
 def halfspace_generators(constraints, n):
     """Generators of {x : <u, x> >= 0 for all u in constraints}.
 
-    Returns (lineality_basis, rays, zero_sets): the saturated lattice
-    basis of the lineality space that ``zl.kernel_basis`` reads off the
-    column HNF of the constraints; the extreme rays of the pointed part,
-    sorted, lifted from the quotient by ``zl.quotient_map``'s lift; and
-    for each ray the bitmask of the constraints tight on it, numbered in
-    input order with the zero constraints left out.
+    Returns (lineality_basis, rays, zero_sets): the column HNF basis of
+    the lineality lattice, which is unique; the extreme rays of the
+    pointed part, sorted, each lifted from the quotient and reduced
+    modulo that lattice into [0, pivot) at its HNF pivot rows, which
+    makes the rays unique too, whatever the order of the constraints;
+    and for each ray the bitmask of the constraints tight on it, numbered
+    in input order with the zero constraints left out.
     """
     cons = [list(u) for u in constraints if any(u)]
     if not cons:
@@ -108,15 +109,20 @@ def halfspace_generators(constraints, n):
     if len(indep) == n:
         lin, pairs = [], _dual_rays_with_zero_sets(cons, n, indep)
     else:
-        K = zl.kernel_basis(cons)
-        _, lift = zl.quotient_map(K)
-        # u vanishes on K, so lift^T u is the unique c with pi^T c = u,
-        # and <u, lift r> = <c, r>: the zero sets carry over to the lifts
-        lift_t = zl.transpose(lift)
-        quotient = _dual_rays_with_zero_sets([zl.mat_vec(lift_t, u) for u in cons],
-                                             len(lift_t))
-        lin = zl.columns(K)
-        pairs = [(zl.primitive(zl.mat_vec(lift, r)), Z) for r, Z in quotient]
+        # u = B c with c = coords u, so <u, x> = <c, B^T x>, and B^T maps
+        # Z^n onto Z^r with kernel the lineality, spanned by pi's rows:
+        # a ray's coords^T lift is primitive, with the ray's zero set
+        coords, _, pi, _ = zl.lattice_split(cons, n)
+        quotient = _dual_rays_with_zero_sets([zl.mat_vec(coords, u) for u in cons],
+                                             len(coords))
+        H = zl.hnf(zl.transpose(pi))[0]     # full column rank
+        lin, pivots, lift = zl.columns(H), zl.hnf_pivots(H), zl.transpose(coords)
+        pairs = []
+        for r, Z in quotient:
+            x = zl.mat_vec(lift, r)
+            for i, j in pivots:
+                x = zl.vsub(x, zl.vscale(x[i] // H[i][j], lin[j]))
+            pairs.append((x, Z))
     pairs.sort()
     return lin, [r for r, _ in pairs], [Z for _, Z in pairs]
 
@@ -402,10 +408,8 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
         return HilbertBasis([], n)
     R = sigma.rays()
     if d < n:
-        B = zl.span_lattice_basis(sigma.generators, n)
-        solve = zl.integer_solver(B)
-        R_proj = [solve(r) for r in R]
-        inner = hilbert_basis(cone(R_proj, d))
+        coords, B, _, _ = zl.lattice_split(sigma.generators, n)
+        inner = hilbert_basis(cone([zl.mat_vec(coords, r) for r in R], d))
         return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
     normals = sigma.facet_normals
     gens = sigma.generators
@@ -499,27 +503,21 @@ class DistinguishedPoint:
 
 
 def _dual_semigroup_data(sigma: Cone):
-    """(pairs, lifted, K, pi): plus/minus lattice basis pairs of
+    """(pairs, lifted, coords, pi): plus/minus the lattice basis of
     sigma-perp, lifted Hilbert basis elements of the pointed part of the
-    dual, the kernel column matrix K, and the quotient projection rows
-    (None unless 0 < ell < n)."""
-    n = sigma.ambient_dim
+    dual, and the coordinates in that basis and the quotient projection,
+    from one ``zl.lattice_split`` of it. The basis is saturated, so it is
+    the split's basis."""
     lin = sigma.dual_lineality
-    ell = len(lin)
-    K = zl.from_columns(lin, rows=n)
+    coords, _, pi, lift = zl.lattice_split(lin, sigma.ambient_dim)
     pairs = []
     for b in lin:
         pairs.append(list(b))
         pairs.append([-x for x in b])
-    if ell == n:
-        return pairs, [], K, None
-    if ell == 0:
-        return pairs, hilbert_basis(sigma.dual()).vectors, K, None
-    pi, lift = zl.quotient_map(K)
-    proj_rays = [zl.mat_vec(pi, r) for r in sigma.dual_rays]
-    inner = hilbert_basis(cone(proj_rays, n - ell))
-    lifted = [zl.mat_vec(lift, h) for h in inner.vectors]
-    return pairs, lifted, K, pi
+    # row by row, so that a projection onto Z^0 needs no special case
+    proj_rays = [[zl.dot(p, r) for p in pi] for r in sigma.dual_rays]
+    inner = hilbert_basis(cone(proj_rays, len(pi)))
+    return pairs, [zl.mat_vec(lift, h) for h in inner.vectors], coords, pi
 
 
 def dual_semigroup_generators(sigma: Cone):
@@ -541,27 +539,14 @@ def dual_semigroup_decompose(sigma: Cone, target):
 def _decompose_over(data, target):
     """dual_semigroup_decompose with sigma's _dual_semigroup_data given,
     for callers that decompose many targets over one cone."""
-    pairs, lifted, K, pi = data
-    if not pairs:
-        return semigroup_member(lifted, target)
-    if pi is None:
-        coeffs = []
-        rem = list(target)
-    else:
-        proj = zl.mat_vec(pi, target)
-        inner = [zl.mat_vec(pi, h) for h in lifted]
-        found = semigroup_member(inner, proj)
-        if found is None:
-            return None
-        coeffs = list(found)
-        rem = list(target)
-        for c, h in zip(coeffs, lifted):
-            rem = zl.vsub(rem, zl.vscale(c, h))
-    b = zl.solve_integer(K, rem)
-    if b is None:
+    _, lifted, coords, pi = data
+    coeffs = semigroup_member([[zl.dot(p, h) for p in pi] for h in lifted],
+                              [zl.dot(p, target) for p in pi])
+    if coeffs is None:
         return None
+    # coords lift = 0, so coords target gives the lineality part
     out = []
-    for x in b:
+    for x in (zl.dot(c, target) for c in coords):
         out.extend((x, 0) if x >= 0 else (0, -x))
     return out + coeffs
 

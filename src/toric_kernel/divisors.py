@@ -260,15 +260,14 @@ def divisor_polyhedron(D: TorusInvariantDivisor) -> DivisorPolyhedron:
     F = D.fan
     n = F.ambient_dim
     facets = [(list(u), a) for u, a in zip(F.rays, D.coeffs)]
-    spanned = cn.cone(_ray_matrix(F), n)
-    bounded = not spanned.facet_normals
-    points = None
-    if bounded:
-        # the rays of {(m, t) : <u, m> + a t >= 0, t >= 0} are the
-        # vertices (w, t) of the polyhedron, homogenized: boundedness
-        # leaves none at t = 0, and an empty polyhedron has none at all
-        cons = [u + [a] for u, a in facets] + [[0] * n + [1]]
-        points = pt.hull_lattice_points(cn.halfspace_generators(cons, n + 1)[1])
+    # {(m, t) : <u, m> + a t >= 0, t >= 0} meets t = 0 in the recession
+    # cone, so the polyhedron is bounded exactly when that cone is pointed
+    # with every ray at t > 0; its rays are then the vertices (w, t),
+    # homogenized, and an empty polyhedron has none at all
+    cons = [u + [a] for u, a in facets] + [[0] * n + [1]]
+    lin, rays, _ = cn.halfspace_generators(cons, n + 1)
+    bounded = not lin and all(r[-1] > 0 for r in rays)
+    points = pt.hull_lattice_points(rays) if bounded else None
     return DivisorPolyhedron(facets, bounded, points)
 
 

@@ -241,9 +241,8 @@ def star_quotient_fan(F: Fan, tau):
     n = F.ambient_dim
     if not tau:
         return F, zl.identity(n)
-    L = zl.span_lattice_basis([list(F.rays[i]) for i in tau], n)
-    d = zl.shape(L)[1]
-    pi, _ = zl.quotient_map(L)
+    _, _, pi, _ = zl.lattice_split([F.rays[i] for i in tau], n)
+    d = n - len(pi)
     if d == n:
         return _trusted_fan([], [()], 0), pi
     new_rays, new_max = [], []

@@ -26,10 +26,9 @@ class LatticePolytope:
 
     The cone's generators are the distinct points given to ``hull`` at
     height 1, in first-seen order; its rays are the vertices and its
-    dual rays and dual lineality the facets and equations. Inequalities
-    that are vacuous on the affine span (they reduce to a positive
-    constant) are dropped, so a single point has no facets, only
-    equations.
+    dual rays and dual lineality the facets and equations. The cone over
+    a single point has one facet, t >= 0, which is vacuous, so a point
+    has no facets, only equations.
     """
 
     __slots__ = ("cone", "ambient_dim", "vertices", "facets", "equations", "dim",
@@ -40,11 +39,8 @@ class LatticePolytope:
         self.ambient_dim = C.ambient_dim - 1
         self.dim = C.dim - 1
         self.vertices = sorted(r[:-1] for r in C.rays())
-        lin_span = zl.RowEchelon(b[:-1] for b in C.dual_lineality)
-        # u = 0 or u in the span of the equation normals: equivalent,
-        # modulo the span equations, to a constant inequality
-        self.facets = sorted((m[:-1], m[-1]) for m in C.dual_rays
-                             if any(lin_span.residue(m[:-1])))
+        # for dim >= 1 the facets of the cone are the cones over those of P
+        self.facets = sorted((m[:-1], m[-1]) for m in C.dual_rays) if self.dim > 0 else []
         self.equations = sorted((b[:-1], b[-1]) for b in C.dual_lineality)
         self._points = None
 
@@ -71,13 +67,10 @@ def hull(points) -> LatticePolytope:
     """Convex hull of integer points.
 
     Builds the cone over the points at height 1; ``cn.cone`` drops
-    repeated points and keeps the first-seen order. For a polytope that
-    is not full-dimensional the facet inequalities and the equations
-    depend on the order of the points, since the double description
-    lifts them from a quotient whose basis follows the input: the same
-    triangle listed in another order can print other (equivalent)
-    inequalities and equations. The vertices and ``contains`` do not
-    depend on the order.
+    repeated points and keeps the first-seen order. The vertices, facets
+    and equations do not depend on that order: for a polytope that is
+    not full-dimensional the equations are the HNF basis of their
+    lattice, and each facet normal is reduced modulo it.
     """
     gens = [[int(x) for x in p] + [1] for p in points]
     if not gens:
@@ -239,27 +232,20 @@ def lattice_points(P: LatticePolytope):
     return [list(p) for p in P._points]
 
 
-def _triangulate(P: LatticePolytope):
-    """Pulling triangulation from the lexicographically smallest vertex,
-    read off the vertex-facet incidences; returns lists of dim+1
-    affinely independent vertices."""
-    V = P.vertices
-    masks = [sum(1 << i for i, v in enumerate(V) if zl.dot(u, v) + a == 0)
-             for u, a in P.facets]
-    return [[list(V[i]) for i in s]
-            for s in cn.pulling_triangulation(masks, (1 << len(V)) - 1, P.dim + 1)]
-
-
 def volume(P: LatticePolytope) -> Fraction:
-    """Exact Euclidean volume; zero when P is not full-dimensional."""
+    """Exact Euclidean volume; zero when P is not full-dimensional.
+
+    The simplices of the pulling triangulation of P.cone are cones over
+    simplices of P, and |det| of their homogenized generators is n! times
+    the volume of the simplex."""
     n = P.ambient_dim
     if P.dim < n:
         return Fraction(0)
-    total = Fraction(0)
-    for s in _triangulate(P):
-        M = [zl.vsub(v, s[0]) for v in s[1:]]
-        total += Fraction(abs(zl.det(M)), factorial(n))
-    return total
+    C = P.cone
+    gens = C.generators
+    total = sum(abs(zl.det([gens[i] for i in s]))
+                for s in cn.pulling_triangulation(C.zero_sets, C._ray_mask(), n + 1))
+    return Fraction(total, factorial(n))
 
 
 def project_full(P: LatticePolytope):
@@ -277,10 +263,9 @@ def project_full(P: LatticePolytope):
     x0 = P.vertices[0]
     if P.dim == 0:
         return hull([[0]]), (list(x0), [[0] for _ in range(n)])
-    L = zl.span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
-    solve = zl.integer_solver(L)
-    ys = [solve(zl.vsub(v, x0)) for v in P.vertices]
-    return hull(ys), (list(x0), L)
+    diffs = [zl.vsub(v, x0) for v in P.vertices]
+    coords, L, _, _ = zl.lattice_split(diffs, n)
+    return hull([zl.mat_vec(coords, v) for v in diffs]), (list(x0), L)
 
 
 def normalized_volume(P: LatticePolytope) -> int:

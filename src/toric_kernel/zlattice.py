@@ -318,17 +318,26 @@ def cokernel(M: Matrix) -> tuple[AbelianGroupPresentation, Matrix]:
     return pres, proj
 
 
-def quotient_map(K: Matrix) -> tuple[Matrix, Matrix]:
-    """(pi, lift) for the saturated sublattice spanned by the independent
-    columns of the n x ell matrix K, from the column HNF K^T U = [H | 0]
-    with U unimodular: the rows of pi are the last n - ell columns of U,
-    so pi K = 0 and pi maps Z^n onto Z^(n - ell), and the columns of
-    lift are the last n - ell rows of U^-1, so pi lift = I.
+def lattice_split(vectors: list, n: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """(coords, basis, pi, lift) for the saturated span of the vectors in
+    Z^n, all from the column HNF M U = [H | 0] of the vectors as the rows
+    of M, with r = rank M.
+
+    Split U as [C | P] and U^-T as [B | L] after column r. Then the
+    columns of ``basis`` = B are a basis of (R-span of the vectors) cap
+    Z^n, since M = H B^T and [B | L] is unimodular; ``coords`` = C^T
+    gives the coordinates in it of any integer vector of the span;
+    ``pi`` = P^T kills the span and maps Z^n onto Z^(n - r); and the
+    columns of ``lift`` = L are a section of pi. When the vectors are a
+    basis of a saturated lattice, H is the identity and basis is them.
     """
-    n, ell = shape(K)
-    U = hnf(transpose(K))[1] if ell else identity(n)
-    _, Uinv = hnf(U)        # the column HNF of a unimodular U is I
-    return columns(U)[ell:], [col[ell:] for col in columns(Uinv)]
+    rows = [list(v) for v in vectors]
+    H, U = hnf(rows) if rows else ([], identity(n))
+    r = len(hnf_pivots(H))
+    Uinv = hnf(U)[1]        # the column HNF of a unimodular U is I
+    cols = columns(U)
+    return (cols[:r], from_columns(Uinv[:r], rows=n),
+            cols[r:], from_columns(Uinv[r:], rows=n))
 
 
 def cokernel_coords(pres: AbelianGroupPresentation, proj: Matrix, v: list) -> list:
@@ -497,22 +506,6 @@ class RowEchelon:
             return False
         self._rows.append((p, primitive(r)))
         return True
-
-
-def span_lattice_basis(vectors: list, n: int) -> Matrix:
-    """Columns: a basis of (R-span of the vectors) cap Z^n, the kernel of
-    the kernel of the vectors, both from the column HNF.
-
-    The resulting lattice is saturated, so integer vectors in the span
-    have integer coordinates in this basis.
-    """
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return [[] for _ in range(n)]
-    K = kernel_basis(rows)        # orthogonal complement lattice
-    if not K[0]:
-        return identity(n)
-    return kernel_basis(transpose(K))
 
 
 def det(M: Matrix) -> int:

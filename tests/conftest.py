@@ -62,6 +62,40 @@ def snf_kernel(M):
 
 
 # ---------------------------------------------------------------------------
+# the two sublattice routines ``zl.lattice_split`` replaced, the oracles of its
+# basis and projection: ``span_lattice_basis`` and ``quotient_map`` as the
+# library ran them before, unchanged apart from the ``zl.`` prefixes
+
+def span_lattice_basis(vectors: list, n: int) -> Matrix:
+    """Columns: a basis of (R-span of the vectors) cap Z^n, the kernel of
+    the kernel of the vectors, both from the column HNF.
+
+    The resulting lattice is saturated, so integer vectors in the span
+    have integer coordinates in this basis.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return [[] for _ in range(n)]
+    K = zl.kernel_basis(rows)        # orthogonal complement lattice
+    if not K[0]:
+        return identity(n)
+    return zl.kernel_basis(zl.transpose(K))
+
+
+def quotient_map(K: Matrix) -> tuple[Matrix, Matrix]:
+    """(pi, lift) for the saturated sublattice spanned by the independent
+    columns of the n x ell matrix K, from the column HNF K^T U = [H | 0]
+    with U unimodular: the rows of pi are the last n - ell columns of U,
+    so pi K = 0 and pi maps Z^n onto Z^(n - ell), and the columns of
+    lift are the last n - ell rows of U^-1, so pi lift = I.
+    """
+    n, ell = shape(K)
+    U = zl.hnf(zl.transpose(K))[1] if ell else identity(n)
+    _, Uinv = zl.hnf(U)        # the column HNF of a unimodular U is I
+    return zl.columns(U)[ell:], [col[ell:] for col in zl.columns(Uinv)]
+
+
+# ---------------------------------------------------------------------------
 # the pivot-search Smith engine, the oracle of zl.snf: ``pivot_snf`` and its
 # helpers are the elimination the library ran before it alternated column
 # and row Hermite forms, unchanged apart from the name of ``pivot_snf``

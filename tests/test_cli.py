@@ -691,29 +691,30 @@ def projection_kills_the_cone(payload, doc):
 
 # Outputs that print a lattice basis, read off the column HNF: the
 # lineality of a non-pointed dual, the equations of a lower dimensional
-# polytope, the embedding of project-full and the projection of
+# polytope (both the HNF basis of their lattice, with the rays or facets
+# reduced modulo it), the embedding of project-full and the projection of
 # star-quotient. Any other valid basis would be correct too, so each pin
 # comes with a check of what makes it valid, and the pins keep the
 # printed bytes from changing unnoticed with the kernel routine.
 PRINTED_BASES = [
     pytest.param("cone dual",
                  {"generators": [[-2, 3, -2]]},
-                 '{"generators":[["-3","-2","0"],["-1","0","1"],["1","0","-1"],["1","1","0"],["3","2","0"]],"schema":1}',
+                 '{"generators":[["-1","0","1"],["0","-2","-3"],["0","1","1"],["0","2","3"],["1","0","-1"]],"schema":1}',
                  dual_is_generated,
                  id="cone-dual-ray-in-z3"),
     pytest.param("cone dual",
                  {"generators": [[0, 0, 1, -2], [-4, 3, 4, 0]]},
-                 '{"generators":[["-3","-4","0","0"],["-1","-4","2","1"],["-1","-1","0","0"],["1","4","-2","-1"],["3","4","0","0"],["4","4","1","0"]],"schema":1}',
+                 '{"generators":[["-1","-4","2","1"],["0","-8","6","3"],["0","3","-2","-1"],["0","4","-3","-2"],["0","8","-6","-3"],["1","4","-2","-1"]],"schema":1}',
                  dual_is_generated,
                  id="cone-dual-plane-cone-in-z4"),
     pytest.param("polytope facets",
                  {"points": [[1, -2, 0], [-1, 2, -3]]},
-                 '{"equations":[{"normal":["2","1","0"],"offset":"0"},{"normal":["3","0","-2"],"offset":"-3"}],"inequalities":[{"normal":["-2","0","1"],"offset":"2"},{"normal":["2","0","-1"],"offset":"-1"}],"schema":1,"vertices":[["-1","2","-3"],["1","-2","0"]]}',
+                 '{"equations":[{"normal":["0","3","4"],"offset":"6"},{"normal":["1","2","2"],"offset":"3"}],"inequalities":[{"normal":["0","1","1"],"offset":"2"},{"normal":["0","2","3"],"offset":"5"}],"schema":1,"vertices":[["-1","2","-3"],["1","-2","0"]]}',
                  facets_cut_out_the_polytope,
                  id="facets-of-a-segment-in-z3"),
     pytest.param("polytope project-full",
                  {"points": [[3, 2, -4], [-3, -2, 2], [-3, 0, -1]]},
-                 '{"embedding":[["1","0"],["0","-2"],["0","3"]],"origin":["-3","-2","2"],"schema":1,"vertices":[["0","-1"],["0","0"],["6","-2"]]}',
+                 '{"embedding":[["0","1"],["2","0"],["-3","0"]],"origin":["-3","-2","2"],"schema":1,"vertices":[["0","0"],["1","0"],["2","6"]]}',
                  embedding_gives_back_the_vertices,
                  id="project-full-of-a-triangle-in-z3"),
     pytest.param("fan star-quotient",

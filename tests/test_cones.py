@@ -270,6 +270,39 @@ class TestSemigroupMember:
         assert got == [0] * 1199 + [1]
 
 
+class TestDualSemigroupDecompose:
+    def test_every_lineality_rank_takes_one_path(self):
+        # pointed cones of every dimension 0..n in Z^1..Z^3, so the dual
+        # lineality runs from rank n (the zero cone) to 0: the answer
+        # writes an integer target over dual_semigroup_generators with
+        # nonnegative coefficients exactly when it lies in the dual cone
+        rng = random.Random(20261020)
+        ranks = set()
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            d = rng.randint(0, n)
+            basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+            gens = [[sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(n)]
+                    for _ in range(rng.randint(1, n + 1))]
+            sigma = cn.cone(gens, n)
+            if not sigma.is_pointed:
+                continue
+            ranks.add((n, len(sigma.dual_lineality)))
+            G = cn.dual_semigroup_generators(sigma)
+            for _ in range(4):
+                t = [rng.randint(-4, 4) for _ in range(n)]
+                coeffs = cn.dual_semigroup_decompose(sigma, t)
+                if coeffs is None:
+                    assert not sigma.dual().contains(t), (gens, t)
+                    continue
+                assert len(coeffs) == len(G) and min(coeffs, default=0) >= 0
+                total = [0] * n
+                for c, g in zip(coeffs, G):
+                    total = zl.vadd(total, zl.vscale(c, g))
+                assert total == t, (gens, t)
+        assert ranks >= {(n, ell) for n in range(1, 4) for ell in range(n + 1)}
+
+
 class TestDistinguished:
     def test_full_dim_all_zero(self):
         dp = cn.distinguished_point(C((1, 0), (0, 1)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from conftest import within
+from conftest import span_lattice_basis, within
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -36,7 +36,7 @@ def old_lattice_points(P):
         trans = [(list(u), a) for u, a in P.facets]
         base = None
     else:
-        L = zl.span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
+        L = span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
         solve = zl.integer_solver(L)
         ys = [solve(zl.vsub(v, x0)) for v in P.vertices]
         trans = []

@@ -9,6 +9,7 @@ from itertools import product
 from conftest import (gens_ehrhart, gens_hull_lattice_points, gens_lattice_points,
                       rank_hull, rebuilt_cone_is_normal, scaled_dilate)
 
+from toric_kernel import cones as cn
 from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
 
@@ -108,12 +109,51 @@ def test_is_normal_matches_a_rebuilt_cone():
     assert verdicts == {True, False}
 
 
+def test_point_order_does_not_change_the_h_representation():
+    # the equations are the HNF basis of their lattice and each facet
+    # normal is reduced modulo it, so both are unique
+    rng = random.Random(11)
+    for pts in CASES:
+        P = pt.hull(pts)
+        shuffled = list(pts)
+        rng.shuffle(shuffled)
+        for other in (pts[::-1], shuffled):
+            Q = pt.hull(other)
+            assert (Q.vertices, Q.facets, Q.equations) == \
+                (P.vertices, P.facets, P.equations), (pts, other)
+
+
 def test_point_order_does_not_change_vertices_or_membership():
-    # a triangle in Z^4: its inequalities and equations depend on the
-    # order of its points (see the hull docstring), its point set does not
     pts = [[0, -4, -2, -4], [-2, 0, -4, 0], [1, 8, 6, 4]]
     P, R = pt.hull(pts), pt.hull(pts[::-1])
     assert P.vertices == R.vertices == sorted(pts)
     assert P.dim == R.dim == 2
+    for Q in (P, R):
+        assert Q.facets == [([0, 2, -1, -2], -2), ([1, 2, -1, -2], -2),
+                            ([2, 1, -1, -1], 0)]
+        assert Q.equations == [([0, 6, -2, -7], -8), ([4, 1, -2, 0], 0)]
     for x in grown_box(pts):
         assert P.contains(x) == R.contains(x), x
+
+
+def printed_dual(gens, n):
+    """The generators ``cone dual`` prints for the cone over gens."""
+    D = cn.cone(gens, n).dual()
+    return sorted(D.rays() if D.is_pointed else D.generators)
+
+
+def test_generator_order_does_not_change_the_printed_dual():
+    # cones in Z^1..Z^5 on 1..n + 2 generators, about half of them
+    # lower-dimensional, so that their duals have a lineality
+    rng = random.Random(5)
+    for k in range(300):
+        n = k % 5 + 1
+        r = n if rng.random() < 0.5 else rng.randint(1, n)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        gens = [[sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(n)]
+                for _ in range(rng.randint(1, n + 2))]
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        expected = printed_dual(gens, n)
+        assert printed_dual(gens[::-1], n) == expected, gens
+        assert printed_dual(shuffled, n) == expected, gens

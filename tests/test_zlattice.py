@@ -7,7 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import pivot_snf, snf_kernel, within
+from conftest import (pivot_snf, quotient_map, snf_kernel, span_lattice_basis,
+                      within)
 from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
@@ -196,7 +197,7 @@ class TestKernel:
         assert max(abs(x) for row in K for x in row) <= 20
 
 
-class TestQuotientMap:
+class TestLatticeSplit:
     @seed(20261113)
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
@@ -209,20 +210,48 @@ class TestQuotientMap:
     @example((0, []))
     def test_splits_off_the_saturated_span(self, case):
         n, vectors = case
-        K = zl.span_lattice_basis(vectors, n)
-        ell = zl.shape(K)[1]
-        pi, lift = zl.quotient_map(K)
-        assert len(pi) == n - ell and all(len(row) == n for row in pi)
-        assert len(lift) == n and all(len(row) == n - ell for row in lift)
-        # pi K = 0 and pi lift = I, by dot products so that the empty
-        # shapes at ell = 0 and ell = n need no special case
-        assert [[zl.dot(p, k) for k in zl.columns(K)] for p in pi] == \
-            zl.zeros(n - ell, ell)
-        assert [[zl.dot(p, c) for c in zl.columns(lift)] for p in pi] == \
-            zl.identity(n - ell)
-        # together the columns of K and of lift are a basis of Z^n
+        coords, basis, pi, lift = zl.lattice_split(vectors, n)
+        ell = len(coords)
+        assert ell == zl.rank(vectors) if vectors else ell == 0
+        assert all(len(row) == n for row in coords + pi)
+        assert len(basis) == len(lift) == n
+        assert all(len(row) == ell for row in basis)
+        assert all(len(row) == n - ell for row in lift)
+        assert len(pi) == n - ell
+        # pi basis = 0, pi lift = I and coords basis = I, by dot products
+        # so that the empty shapes at ell = 0 and ell = n need no special
+        # case
+        B, L = zl.columns(basis), zl.columns(lift)
+        assert [[zl.dot(p, b) for b in B] for p in pi] == zl.zeros(n - ell, ell)
+        assert [[zl.dot(p, c) for c in L] for p in pi] == zl.identity(n - ell)
+        assert [[zl.dot(c, b) for b in B] for c in coords] == zl.identity(ell)
+        # together the columns of basis and of lift are a basis of Z^n
         if n:
-            assert is_unimodular([k + c for k, c in zip(K, lift)])
+            assert is_unimodular([b + c for b, c in zip(basis, lift)])
+        # basis spans the lattice the kernel-of-the-kernel oracle spans,
+        # and coords gives each vector's coordinates in it
+        K = span_lattice_basis(vectors, n)
+        assert zl.lattice_index(basis, K) == zl.lattice_index(K, basis) == 1
+        for v in vectors:
+            y = [zl.dot(c, v) for c in coords]
+            assert [sum(b[i] * x for b, x in zip(B, y)) for i in range(n)] == v
+
+    @seed(20261114)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 min_size=1, max_size=n))))
+    def test_same_quotient_as_the_oracle(self, case):
+        # pi and the oracle's projection have the same kernel, the span
+        n, vectors = case
+        _, basis, pi, _ = zl.lattice_split(vectors, n)
+        old_pi, _ = quotient_map(span_lattice_basis(vectors, n))
+        assert len(pi) == len(old_pi)
+        for p in pi:
+            assert zl.solve_integer(zl.transpose(old_pi), p) is not None
+        for p in old_pi:
+            assert zl.solve_integer(zl.transpose(pi), p) is not None
 
 
 class TestCokernel:
