@@ -19,30 +19,25 @@ sees only leading monomials. ``buchberger`` serves every ideal on
 primitive integer term dicts, fraction-free (Becker-Weispfenning,
 *Groebner Bases*, 10.1); only its output is made monic. ``_binomial_basis``
 serves ``toric_ideal``: there every basis element is a pure difference
-binomial x^lead - x^tail, kept as the pair (lead, tail) of exponent
-tuples, and reduction rewrites one monomial at a time
-(Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 12).
+binomial x^lead - x^tail, kept as the pair (lead, tail), and reduction
+rewrites one monomial at a time, m -> m - lead + tail (Sturmfels,
+*Groebner Bases and Convex Polytopes*, ch. 12).
 
-Divisibility tests between exponent tuples dominate both engines. Each
-leading monomial therefore carries a bit mask (``_mask``); the masks
-decide coprimality and the mask of an lcm exactly, but for divisibility
-they are only a necessary condition that skips most failing tuple
-tests, and the exact tuple test still runs whenever the mask test
-passes.
+Within an engine call each monomial is one int with a field per
+variable and a guard bit atop each field (``_Packing``), so divisibility,
+lcm, support and rewriting are a few exact int operations; exponent
+tuples remain only in the arguments and the results.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from . import cones as cn
 from . import zlattice as zl
-
-Monomial = tuple  # tuple[int, ...], one exponent per variable
-
 
 def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -96,34 +91,6 @@ def elimination_block(k: int) -> MonomialOrder:
 
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_divides(a, b):
-    return all(map(operator.le, a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-_MASK_BITS = 4   # bits per variable in a divisibility mask
-_THERMO = tuple((1 << k) - 1 for k in range(_MASK_BITS + 1))
-
-
-def _mask(exps) -> int:
-    """Thermometer code of a monomial, a filter for divisibility tests.
-
-    Each variable owns a field of _MASK_BITS bits; bit k of the field is
-    set iff the variable's exponent is at least k + 1, capped at the
-    field width. So a | b implies ``mask(a) & ~mask(b) == 0``, a and b
-    are coprime iff ``mask(a) & mask(b) == 0``, and ``mask(lcm(a, b)) ==
-    mask(a) | mask(b)``. Exponents past the cap make the first test pass
-    where a does not divide b, so it never replaces the tuple test.
-    """
-    m = 0
-    for e in exps:
-        m = (m << _MASK_BITS) | (_THERMO[e] if e < _MASK_BITS else _THERMO[-1])
-    return m
 
 
 def _check_nvars(nvars: int, polys):
@@ -255,55 +222,117 @@ def constant(nvars: int, coeff) -> SparsePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger's algorithm
+# packed monomials, division and Buchberger's algorithm
 
-def _divisor(terms: dict, le) -> tuple:
-    """(le, _mask(le), lc, h): h the multiple of terms with coprime integer
-    coefficients and lc > 0 its coefficient at the monomial le."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    g = gcd(*ints.values()) * (1 if ints[le] > 0 else -1)
-    h = {e: c // g for e, c in ints.items()}
-    return le, _mask(le), h[le], h
+class _Overflow(Exception):
+    """A packed exponent reached the guard bit of its field."""
 
 
-def _reduce_terms(terms: dict, lead: list, key) -> tuple:
-    """(remainder, scale): division of integer terms by ``_divisor`` tuples.
+def _field_width(top: int) -> int:
+    """Starting field width for exponents up to top: their bits and a guard bit, 8 at least."""
+    return max(8, top.bit_length() + 1)
 
-    A term c x^e is reduced by the first divisor, in list order, whose
-    leading monomial lm divides it: with g = gcd(c, lc), the rest r of the
-    work becomes (lc/g) r - (c/g) x^(e - lm) times the divisor. A positive
-    scale never changes which terms cancel, so the steps are those over
-    the rationals, whose remainder is remainder / scale.
+
+class _Packing(dict):
+    """Exponent tuples packed into one int, ``width`` bits a variable, and
+    the order keys of the packed monomials, each computed once.
+
+    Variable 0 takes the highest field, so packed ints compare like their
+    tuples. The top bit of each field is a guard bit, clear in a packed
+    monomial (Bachmann-Schoenemann, ISSAC 1998): no field of (m | guard)
+    - a borrows from the next, and its guard bit stays set iff a's
+    exponent is at most m's. A monomial with a guard bit set raises
+    _Overflow: it has outgrown the width.
     """
-    work = dict(terms)
-    keys = {e: key(e) for e in work}
-    remainder = {}
-    scale = 1
+
+    __slots__ = ("key", "width", "top", "shifts", "guard", "low")
+
+    def __init__(self, nvars: int, width: int, key):
+        super().__init__()
+        self.key, self.width, self.top = key, width, (1 << width - 1) - 1
+        self.shifts = tuple(range((nvars - 1) * width, -1, -width))
+        ones = sum(1 << s for s in self.shifts)
+        self.guard, self.low = ones << width - 1, ones * self.top
+
+    def __missing__(self, m):
+        k = self[m] = self.key(self.unpack(m))
+        return k
+
+    def pack(self, exps) -> int:
+        if max(exps, default=0) > self.top:
+            raise _Overflow
+        return sum(e << s for e, s in zip(exps, self.shifts))
+
+    def unpack(self, m: int) -> tuple:
+        return tuple(m >> s & self.top for s in self.shifts)
+
+    def divides(self, a: int, m: int) -> bool:
+        return ((m | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max: a where (a | guard) - b keeps the guard bit."""
+        g = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (g - (g >> self.width - 1)))
+
+    def support(self, a: int) -> int:
+        """The guard bits of the fields where a is nonzero."""
+        return (a + self.low) & self.guard
+
+    def divisor(self, f) -> tuple:
+        """(lm, lc, h): h the primitive integer multiple of f (a polynomial or
+        packed terms) on packed monomials, lm its lead with coefficient lc > 0."""
+        if isinstance(f, SparsePolynomial):
+            f = {self.pack(e): c for e, c in f.terms.items()}
+        den = lcm(*(c.denominator for c in f.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in f.items()}
+        lm = max(ints, key=self.__getitem__)
+        g = gcd(*ints.values()) * (1 if ints[lm] > 0 else -1)
+        return lm, ints[lm] // g, {e: c // g for e, c in ints.items()}
+
+
+def _packed(run, exps: list, key):
+    """run(P) for a _Packing under the order key that holds the input's
+    exponent tuples exps; an _Overflow restarts run at twice the width."""
+    width = _field_width(max(max(e, default=0) for e in exps))
+    while True:
+        try:
+            return run(_Packing(len(exps[0]), width, key))
+        except _Overflow:
+            width *= 2
+
+
+def _reduce_terms(terms: dict, lead: list, P: _Packing) -> tuple:
+    """(remainder, scale): division of packed integer terms by divisors.
+
+    A term c x^e is reduced by the first divisor, in list order, whose lead
+    lm divides it: with g = gcd(c, lc), the rest r of the work becomes
+    (lc/g) r - (c/g) x^(e - lm) times the divisor. A positive scale never
+    changes which terms cancel, so the remainder over Q is remainder / scale.
+    """
+    G = P.guard
+    work, remainder, scale = dict(terms), {}, 1
     while work:
-        e = max(work, key=keys.__getitem__)
+        e = max(work, key=P.__getitem__)
+        if e & G:   # every term that outgrew its field leads once, or cancels
+            raise _Overflow
         c = work.pop(e)
-        out = ~_mask(e)
-        for le, lm, lc, gterms in lead:
-            if not lm & out and _mono_divides(le, e):
+        eG = e | G
+        for le, lc, gterms in lead:
+            if (eG - le) & G == G:
                 g = gcd(c, lc)
                 a, q = lc // g, c // g
                 if a != 1:
                     scale *= a
-                    for t in work:
-                        work[t] *= a
-                    for t in remainder:
-                        remainder[t] *= a
-                shift = tuple(x - y for x, y in zip(e, le))
+                    work = {t: x * a for t, x in work.items()}
+                    remainder = {t: x * a for t, x in remainder.items()}
+                shift = e - le
                 for ge, gc in gterms.items():
                     if ge == le:
                         continue
-                    t = tuple(x + y for x, y in zip(ge, shift))
+                    t = ge + shift
                     s = work.get(t, 0) - q * gc
                     if s:
                         work[t] = s
-                        if t not in keys:
-                            keys[t] = key(t)
                     else:
                         work.pop(t, None)
                 break
@@ -323,12 +352,15 @@ def normal_form(f: SparsePolynomial, basis, order: MonomialOrder) -> SparsePolyn
     _check_nvars(f.nvars, basis)
     if f.is_zero:
         return f
-    lead = [_divisor(g.terms, g.leading(order)[0]) for g in basis if not g.is_zero]
-    e = next(iter(f.terms))
-    _, _, c, F = _divisor(f.terms, e)
-    r, scale = _reduce_terms(F, lead, order.key)
-    d = f.terms[e] / (c * scale)
-    return SparsePolynomial(f.nvars, {e: x * d for e, x in r.items()})
+    basis = [g for g in basis if not g.is_zero]
+
+    def run(P):
+        lm, c, F = P.divisor(f)
+        r, scale = _reduce_terms(F, [P.divisor(g) for g in basis], P)
+        d = f.terms[P.unpack(lm)] / (c * scale)
+        return SparsePolynomial(f.nvars, {P.unpack(m): x * d for m, x in r.items()})
+
+    return _packed(run, [e for g in (f, *basis) for e in g.terms], order.key)
 
 
 def s_polynomial(f: SparsePolynomial, g: SparsePolynomial,
@@ -336,80 +368,68 @@ def s_polynomial(f: SparsePolynomial, g: SparsePolynomial,
     """S-polynomial: both leading terms lifted to their lcm and cancelled."""
     lf, cf = f.leading(order)
     lg, cg = g.leading(order)
-    T = _mono_lcm(lf, lg)
+    T = tuple(map(max, lf, lg))
     mf = monomial(f.nvars, tuple(a - b for a, b in zip(T, lf)), 1 / cf)
     mg = monomial(g.nvars, tuple(a - b for a, b in zip(T, lg)), 1 / cg)
     return mf * f - mg * g
 
 
-def _pair_loop(initial, reduce_pair, key) -> list:
-    """Buchberger's pair loop, on leading monomials and their masks only.
+def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
+    """Buchberger's pair loop, on packed leading monomials only.
 
-    The basis elements are numbered 0, 1, ... in the order they arrive.
-    ``initial`` lists the (lead, mask) of the starting elements.
-    ``reduce_pair(i, j, T)`` reduces the S-pair of elements i and j,
-    whose leading monomials have lcm T; when the remainder is nonzero it
-    stores it as the next element and returns its (lead, mask), and
-    otherwise it returns None. Returns the indices of the elements whose
-    leading monomials form the minimal generating set of the leading
-    ideal, sorted by key.
+    The elements are numbered in the order they arrive; ``initial`` lists
+    the leads of the first ones. ``reduce_pair(i, j, T)`` reduces the
+    S-pair of elements i and j, whose leads have lcm T, stores a nonzero
+    remainder as the next element and returns its lead, else None.
+    Returns the indices of the minimal leads, sorted by key.
 
-    Pairs are processed lowest lcm degree first, ties broken by the lcm
-    exponent tuple. Two classical pair-elimination criteria prune the
-    queue, applied Gebauer-Moeller style as each element arrives: pairs
-    with coprime leading monomials are dropped, and a pair is dropped
-    when a third leading monomial divides its lcm and the two side pairs
-    survive with smaller lcms (chain criterion).
+    Pairs go lowest lcm degree first, ties broken by the lcm's exponent
+    tuple, and are pruned Gebauer-Moeller style as each element arrives:
+    pairs with coprime leads are dropped, and so is a pair whose lcm a
+    third lead divides while both side pairs survive with smaller lcms.
+    Divisibility, lcm and coprimality are exact packed-int tests.
     """
-    lead = []    # leading exponents
-    masks = []   # their _mask values
-    alive = {}   # (i, j) -> (lcm, its mask), the pair queue membership
-    heap = []
+    G, plcm = P.guard, P.lcm
+    lead, supp = [], []   # packed leading monomials, their supports
+    alive, heap = {}, []  # (i, j) -> lcm of each queued pair; the queue itself
 
-    def divides_any(T, out, idx):
-        # whether lead[k] divides T for some k in idx; out is ~mask(T)
-        for k in idx:
-            if not masks[k] & out and _mono_divides(lead[k], T):
+    def divides_any(T, leads):
+        TG = T | G
+        for a in leads:
+            if (TG - a) & G == G:
                 return True
         return False
 
-    def install(le, m):
+    def install(le):
         new = len(lead)
+        s = P.support(le)
 
         # candidate pairs (i, new), all lcms divisible by le, so lcm(lead[k], le)
         # divides lcm(lead[i], le) iff lead[k] does. A candidate goes when a later
         # candidate or an earlier kept one divides its lcm; coprime ones stay
         # provisionally since they still knock out candidates whose lcm they divide
-        kept = []
-        queued = []
+        kept, queued = [], []
         for i in range(new):
-            mi = masks[i]
-            if mi & m:
-                T = _mono_lcm(lead[i], le)
-                out = ~(mi | m)
-                if divides_any(T, out, range(i + 1, new)) or divides_any(T, out, kept):
+            if supp[i] & s:
+                T = plcm(lead[i], le)
+                if divides_any(T, islice(lead, i + 1, None)) or divides_any(T, kept):
                     continue
-                queued.append((i, T, mi | m))
-            kept.append(i)
+                queued.append((i, T))
+            kept.append(lead[i])
 
         # prune old pairs whose lcm the new leading monomial divides strictly
-        doomed = []
-        for (i, j), (T, mT) in alive.items():
-            if (mT & m == m and _mono_divides(le, T)
-                    and (masks[i] | m != mT or T != _mono_lcm(lead[i], le))
-                    and (masks[j] | m != mT or T != _mono_lcm(lead[j], le))):
-                doomed.append((i, j))
-        for ij in doomed:
+        for ij in [(i, j) for (i, j), T in alive.items() if P.divides(le, T)
+                   and T != plcm(lead[i], le) and T != plcm(lead[j], le)]:
             del alive[ij]
 
         lead.append(le)
-        masks.append(m)
-        for i, T, mT in queued:
-            alive[(i, new)] = (T, mT)
-            heapq.heappush(heap, (sum(T), T, i, new))
+        supp.append(s)
+        for i, T in queued:
+            alive[(i, new)] = T
+            heapq.heappush(heap, (sum(P.unpack(T)), T, i, new))
 
-    for le, m in initial:
-        install(le, m)
+    for le in initial:
+        install(le)
 
     while heap:
         _, T, i, j = heapq.heappop(heap)
@@ -417,49 +437,41 @@ def _pair_loop(initial, reduce_pair, key) -> list:
             continue
         new = reduce_pair(i, j, T)
         if new is not None:
-            install(*new)
+            install(new)
 
     # minimal generating set: drop leading monomials divisible by another
-    kept = []
-    for k in sorted(range(len(lead)), key=lambda k: key(lead[k])):
-        if not divides_any(lead[k], ~masks[k], kept):
-            kept.append(k)
-    return kept
+    minimal = {}   # lead -> index
+    for k in sorted(range(len(lead)), key=lambda k: P[lead[k]]):
+        if not divides_any(lead[k], minimal):
+            minimal[lead[k]] = k
+    return list(minimal.values())
 
 
-def _groebner(gens, order: MonomialOrder) -> list:
-    """Reduced Groebner basis of nonzero generators as ``_divisor`` tuples
-    sorted by key. With g = gcd(lc_i, lc_j), the S-pair of f_i and f_j is
-    (lc_j/g) x^(T - lm_i) f_i - (lc_i/g) x^(T - lm_j) f_j, T the lcm of
-    the leading monomials; the pair loop is ``_pair_loop``."""
-    key = order.key
+def _groebner(gens, P: _Packing) -> list:
+    """Reduced Groebner basis of nonzero generators as ``_Packing.divisor``
+    tuples sorted by key. With g = gcd(lc_i, lc_j), the S-pair of f_i and
+    f_j is (lc_j/g) x^(T - lm_i) f_i - (lc_i/g) x^(T - lm_j) f_j, T the lcm
+    of the leading monomials; the pair loop is ``_pair_loop``."""
 
     def reduce_pair(i, j, T):
-        li, _, ci, fi = cache[i]
-        lj, _, cj, fj = cache[j]
+        (li, ci, fi), (lj, cj, fj) = cache[i], cache[j]
         g = gcd(ci, cj)
-        sterms = {tuple(x + y - z for x, y, z in zip(ge, T, li)): cj // g * gc
-                  for ge, gc in fi.items()}
-        for ge, gc in fj.items():
-            t = tuple(x + y - z for x, y, z in zip(ge, T, lj))
-            s = sterms.get(t, 0) - ci // g * gc
-            if s:
-                sterms[t] = s
-            else:
-                sterms.pop(t, None)
-        r, _ = _reduce_terms(sterms, cache, key)
+        sterms = {}
+        for shift, q, h in ((T - li, cj // g, fi), (T - lj, -ci // g, fj)):
+            for ge, gc in h.items():
+                sterms[ge + shift] = sterms.get(ge + shift, 0) + q * gc
+        r, _ = _reduce_terms({t: c for t, c in sterms.items() if c}, cache, P)
         if not r:
             return None
-        cache.append(_divisor(r, max(r, key=key)))
-        return cache[-1][:2]
+        cache.append(P.divisor(r))
+        return cache[-1][0]
 
-    cache = sorted((_divisor(g.terms, g.leading(order)[0]) for g in gens),
-                   key=lambda d: key(d[0]))
-    kept = _pair_loop([d[:2] for d in cache], reduce_pair, key)
+    cache = sorted(map(P.divisor, gens), key=lambda d: P[d[0]])
+    kept = _pair_loop([d[0] for d in cache], reduce_pair, P)
 
     # inter-reduce; the leading monomials, hence the key order, stay
-    return [_divisor(_reduce_terms(cache[k][3], [cache[m] for m in kept if m != k], key)[0],
-                     cache[k][0]) for k in kept]
+    return [P.divisor(_reduce_terms(cache[k][2], [cache[m] for m in kept if m != k], P)[0])
+            for k in kept]
 
 
 def buchberger(gens, order: MonomialOrder):
@@ -470,62 +482,66 @@ def buchberger(gens, order: MonomialOrder):
         raise ValueError("generators must be nonzero")
     if not gens:
         return []
-    _check_nvars(gens[0].nvars, gens)
-    return [SparsePolynomial(gens[0].nvars, {e: Fraction(c, lc) for e, c in h.items()})
-            for _, _, lc, h in _groebner(gens, order)]
+    nvars = gens[0].nvars
+    _check_nvars(nvars, gens)
+
+    return _packed(lambda P: [
+        SparsePolynomial(nvars, {P.unpack(e): Fraction(c, lc) for e, c in h.items()})
+        for _, lc, h in _groebner(gens, P)], [e for g in gens for e in g.terms], order.key)
 
 
 def _binomial_basis(pairs, key) -> list:
     """Reduced Groebner basis of a pure difference binomial ideal.
 
-    ``pairs`` holds exponent tuple pairs (u, v) with u != v, standing
-    for the generators x^u - x^v; key is a monomial order's key. Returns
-    the reduced basis as (lead, tail) pairs, lead the larger monomial
-    under key, sorted by key of the lead: the same basis as
+    ``pairs`` lists exponent tuple pairs (u, v), u != v, for the generators
+    x^u - x^v; key is a monomial order's key. Returns the reduced basis as
+    (lead, tail) pairs sorted by the key of the lead: the basis that
     ``buchberger`` returns for the generators, without coefficients.
 
-    The S-pair of (a_i, b_i) and (a_j, b_j) with lcm T is
-    (T - a_i + b_i, T - a_j + b_j). Each side is rewritten to its normal
-    form by m -> m - a + b with the first element (a, b) whose lead
-    divides m; equal sides mean the S-pair reduces to zero.
+    The S-pair of (a_i, b_i) and (a_j, b_j) with lcm T is (T - a_i + b_i,
+    T - a_j + b_j); each side is rewritten to normal form by m -> m - a + b,
+    packed, with the first (a, b) whose lead divides m. Equal sides mean
+    the S-pair reduces to zero.
     """
-    leads, tails, masks = [], [], []
+    if not pairs:
+        return []
 
-    def normal(m):
-        out = ~_mask(m)
-        while True:
-            for a, b, ma in zip(leads, tails, masks):
-                if not ma & out and _mono_divides(a, m):
-                    m = tuple(x - y + z for x, y, z in zip(m, a, b))
-                    out = ~_mask(m)
-                    break
-            else:
-                return m
+    def run(P):
+        G = P.guard
+        basis = []   # packed (lead, tail) pairs
 
-    def oriented(u, v):
-        return (u, v) if key(u) > key(v) else (v, u)
+        def normal(m):
+            while True:
+                if m & G:
+                    raise _Overflow
+                mG = m | G
+                for a, b in basis:
+                    if (mG - a) & G == G:
+                        m = m - a + b
+                        break
+                else:
+                    return m
 
-    def add(lead, tail):
-        m = _mask(lead)
-        leads.append(lead)
-        tails.append(tail)
-        masks.append(m)
-        return lead, m
+        def add(u, v):
+            basis.append((u, v) if P[u] > P[v] else (v, u))
+            return basis[-1][0]
 
-    def reduce_pair(i, j, T):
-        u = normal(tuple(t - a + b for t, a, b in zip(T, leads[i], tails[i])))
-        v = normal(tuple(t - a + b for t, a, b in zip(T, leads[j], tails[j])))
-        return None if u == v else add(*oriented(u, v))
+        def reduce_pair(i, j, T):
+            (a, b), (c, d) = basis[i], basis[j]
+            u, v = normal(T - a + b), normal(T - c + d)
+            return None if u == v else add(u, v)
 
-    gens = sorted((oriented(u, v) for u, v in pairs), key=lambda p: key(p[0]))
-    kept = _pair_loop([add(u, v) for u, v in gens], reduce_pair, key)
+        for u, v in pairs:
+            add(P.pack(u), P.pack(v))
+        basis.sort(key=lambda p: P[p[0]])
+        kept = _pair_loop([a for a, _ in basis], reduce_pair, P)
 
-    # the minimal leads still form a Groebner basis; a tail and all its
-    # rewrites are smaller than their own lead, which never rewrites them
-    leads[:] = [leads[k] for k in kept]
-    tails[:] = [tails[k] for k in kept]
-    masks[:] = [masks[k] for k in kept]
-    return [(a, normal(b)) for a, b in zip(leads, tails)]
+        # the minimal leads still form a Groebner basis; a tail and all its
+        # rewrites are smaller than their own lead, which never rewrites them
+        basis[:] = [basis[k] for k in kept]
+        return [(P.unpack(a), P.unpack(normal(b))) for a, b in basis]
+
+    return _packed(run, [m for p in pairs for m in p], key)
 
 
 def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
@@ -535,12 +551,13 @@ def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> boo
     gens = [g for g in gens if not g.is_zero]
     if not gens or f.is_zero:
         return f.is_zero
-    F = _divisor(f.terms, next(iter(f.terms)))[3]
-    return not _reduce_terms(F, _groebner(gens, order), order.key)[0]
+
+    return _packed(lambda P: not _reduce_terms(P.divisor(f)[2], _groebner(gens, P), P)[0],
+                   [e for g in (f, *gens) for e in g.terms], order.key)
 
 
 def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:
-    """Ideal equality certified by mutual normal-form reduction to zero."""
+    """Ideal equality: the two reduced Groebner bases, which are unique, agree."""
     ga, gb = list(gens_a), list(gens_b)
     both = ga + gb
     if both:
@@ -549,9 +566,9 @@ def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:
     gb = [g for g in gb if not g.is_zero]
     if not ga or not gb:
         return not ga and not gb
-    a, b = _groebner(ga, order), _groebner(gb, order)
-    return all(not _reduce_terms(h, other, order.key)[0]
-               for basis, other in ((a, b), (b, a)) for *_, h in basis)
+
+    return _packed(lambda P: _groebner(ga, P) == _groebner(gb, P),
+                   [e for g in ga + gb for e in g.terms], order.key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import heapq
+import operator
 import signal
 import threading
 import time
@@ -14,7 +16,7 @@ from toric_kernel import zlattice as zl
 from toric_kernel.zlattice import (Matrix, _add_col, _swap_col, copy_matrix,
                                    identity, shape)
 from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
-                                  _mask, _mono_divides, _mono_mul, _pair_loop)
+                                  _mono_mul)
 
 
 @contextmanager
@@ -220,6 +222,179 @@ def pivot_snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 # ---------------------------------------------------------------------------
+# the tuple Buchberger engine, the oracle of the packed one in ideals.py:
+# ``tuple_pair_loop`` and ``tuple_binomial_basis`` are the pair loop and the
+# binomial engine the library ran before it packed each monomial into one
+# int, with their divisibility masks and tuple helpers, unchanged apart from
+# their names; the Fraction engine below still runs on ``tuple_pair_loop``
+
+def tuple_divides(a, b):
+    return all(map(operator.le, a, b))
+
+
+def tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+MASK_BITS = 4   # bits per variable in a divisibility mask
+THERMO = tuple((1 << k) - 1 for k in range(MASK_BITS + 1))
+
+
+def tuple_mask(exps) -> int:
+    """Thermometer code of a monomial, a filter for divisibility tests.
+
+    Each variable owns a field of MASK_BITS bits; bit k of the field is
+    set iff the variable's exponent is at least k + 1, capped at the
+    field width. So a | b implies ``mask(a) & ~mask(b) == 0``, a and b
+    are coprime iff ``mask(a) & mask(b) == 0``, and ``mask(lcm(a, b)) ==
+    mask(a) | mask(b)``. Exponents past the cap make the first test pass
+    where a does not divide b, so it never replaces the tuple test.
+    """
+    m = 0
+    for e in exps:
+        m = (m << MASK_BITS) | (THERMO[e] if e < MASK_BITS else THERMO[-1])
+    return m
+
+
+def tuple_pair_loop(initial, reduce_pair, key) -> list:
+    """Buchberger's pair loop, on leading monomials and their masks only.
+
+    The basis elements are numbered 0, 1, ... in the order they arrive.
+    ``initial`` lists the (lead, mask) of the starting elements.
+    ``reduce_pair(i, j, T)`` reduces the S-pair of elements i and j,
+    whose leading monomials have lcm T; when the remainder is nonzero it
+    stores it as the next element and returns its (lead, mask), and
+    otherwise it returns None. Returns the indices of the elements whose
+    leading monomials form the minimal generating set of the leading
+    ideal, sorted by key.
+
+    Pairs are processed lowest lcm degree first, ties broken by the lcm
+    exponent tuple. Two classical pair-elimination criteria prune the
+    queue, applied Gebauer-Moeller style as each element arrives: pairs
+    with coprime leading monomials are dropped, and a pair is dropped
+    when a third leading monomial divides its lcm and the two side pairs
+    survive with smaller lcms (chain criterion).
+    """
+    lead = []    # leading exponents
+    masks = []   # their tuple_mask values
+    alive = {}   # (i, j) -> (lcm, its mask), the pair queue membership
+    heap = []
+
+    def divides_any(T, out, idx):
+        # whether lead[k] divides T for some k in idx; out is ~mask(T)
+        for k in idx:
+            if not masks[k] & out and tuple_divides(lead[k], T):
+                return True
+        return False
+
+    def install(le, m):
+        new = len(lead)
+
+        # candidate pairs (i, new), all lcms divisible by le, so lcm(lead[k], le)
+        # divides lcm(lead[i], le) iff lead[k] does. A candidate goes when a later
+        # candidate or an earlier kept one divides its lcm; coprime ones stay
+        # provisionally since they still knock out candidates whose lcm they divide
+        kept = []
+        queued = []
+        for i in range(new):
+            mi = masks[i]
+            if mi & m:
+                T = tuple_lcm(lead[i], le)
+                out = ~(mi | m)
+                if divides_any(T, out, range(i + 1, new)) or divides_any(T, out, kept):
+                    continue
+                queued.append((i, T, mi | m))
+            kept.append(i)
+
+        # prune old pairs whose lcm the new leading monomial divides strictly
+        doomed = []
+        for (i, j), (T, mT) in alive.items():
+            if (mT & m == m and tuple_divides(le, T)
+                    and (masks[i] | m != mT or T != tuple_lcm(lead[i], le))
+                    and (masks[j] | m != mT or T != tuple_lcm(lead[j], le))):
+                doomed.append((i, j))
+        for ij in doomed:
+            del alive[ij]
+
+        lead.append(le)
+        masks.append(m)
+        for i, T, mT in queued:
+            alive[(i, new)] = (T, mT)
+            heapq.heappush(heap, (sum(T), T, i, new))
+
+    for le, m in initial:
+        install(le, m)
+
+    while heap:
+        _, T, i, j = heapq.heappop(heap)
+        if alive.pop((i, j), None) is None:
+            continue
+        new = reduce_pair(i, j, T)
+        if new is not None:
+            install(*new)
+
+    # minimal generating set: drop leading monomials divisible by another
+    kept = []
+    for k in sorted(range(len(lead)), key=lambda k: key(lead[k])):
+        if not divides_any(lead[k], ~masks[k], kept):
+            kept.append(k)
+    return kept
+
+
+def tuple_binomial_basis(pairs, key) -> list:
+    """Reduced Groebner basis of a pure difference binomial ideal.
+
+    ``pairs`` holds exponent tuple pairs (u, v) with u != v, standing
+    for the generators x^u - x^v; key is a monomial order's key. Returns
+    the reduced basis as (lead, tail) pairs, lead the larger monomial
+    under key, sorted by key of the lead: the same basis as
+    ``buchberger`` returns for the generators, without coefficients.
+
+    The S-pair of (a_i, b_i) and (a_j, b_j) with lcm T is
+    (T - a_i + b_i, T - a_j + b_j). Each side is rewritten to its normal
+    form by m -> m - a + b with the first element (a, b) whose lead
+    divides m; equal sides mean the S-pair reduces to zero.
+    """
+    leads, tails, masks = [], [], []
+
+    def normal(m):
+        out = ~tuple_mask(m)
+        while True:
+            for a, b, ma in zip(leads, tails, masks):
+                if not ma & out and tuple_divides(a, m):
+                    m = tuple(x - y + z for x, y, z in zip(m, a, b))
+                    out = ~tuple_mask(m)
+                    break
+            else:
+                return m
+
+    def oriented(u, v):
+        return (u, v) if key(u) > key(v) else (v, u)
+
+    def add(lead, tail):
+        m = tuple_mask(lead)
+        leads.append(lead)
+        tails.append(tail)
+        masks.append(m)
+        return lead, m
+
+    def reduce_pair(i, j, T):
+        u = normal(tuple(t - a + b for t, a, b in zip(T, leads[i], tails[i])))
+        v = normal(tuple(t - a + b for t, a, b in zip(T, leads[j], tails[j])))
+        return None if u == v else add(*oriented(u, v))
+
+    gens = sorted((oriented(u, v) for u, v in pairs), key=lambda p: key(p[0]))
+    kept = tuple_pair_loop([add(u, v) for u, v in gens], reduce_pair, key)
+
+    # the minimal leads still form a Groebner basis; a tail and all its
+    # rewrites are smaller than their own lead, which never rewrites them
+    leads[:] = [leads[k] for k in kept]
+    tails[:] = [tails[k] for k in kept]
+    masks[:] = [masks[k] for k in kept]
+    return [(a, normal(b)) for a, b in zip(leads, tails)]
+
+
+# ---------------------------------------------------------------------------
 # the Fraction Groebner engine, the oracle of the integer one in ideals.py:
 # ``fraction_reduce_terms`` and ``fraction_buchberger`` are the engine the
 # library ran before it moved to primitive integer coefficients, unchanged
@@ -229,7 +404,7 @@ def fraction_reduce_terms(terms: dict, lead: list, key) -> dict:
     """Remainder term dict of division by cached divisors.
 
     Each divisor is an (lm, mask, lc, term dict) tuple with lm its
-    leading monomial, mask ``_mask(lm)`` and lc its leading coefficient.
+    leading monomial, mask ``tuple_mask(lm)`` and lc its leading coefficient.
     A term is reduced by the first divisor, in list order, whose leading
     monomial divides it. Each monomial's order key is computed once.
     """
@@ -239,9 +414,9 @@ def fraction_reduce_terms(terms: dict, lead: list, key) -> dict:
     while work:
         e = max(work, key=keys.__getitem__)
         c = work.pop(e)
-        out = ~_mask(e)
+        out = ~tuple_mask(e)
         for le, lm, lc, gterms in lead:
-            if not lm & out and _mono_divides(le, e):
+            if not lm & out and tuple_divides(le, e):
                 q = c / lc
                 shift = tuple(x - y for x, y in zip(e, le))
                 for ge, gc in gterms.items():
@@ -269,7 +444,7 @@ def _monic(f: SparsePolynomial, order: MonomialOrder) -> SparsePolynomial:
 def fraction_buchberger(gens, order: MonomialOrder):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    The pair queue and its pruning are ``_pair_loop``'s, so recomputation
+    The pair queue and its pruning are ``tuple_pair_loop``'s, so recomputation
     from shuffled generators returns the identical basis. S-polynomials
     are reduced by every element found so far, each leading monomial
     filtered by its mask before the tuple test.
@@ -290,7 +465,7 @@ def fraction_buchberger(gens, order: MonomialOrder):
     def add(g: SparsePolynomial):
         le, lc = g.leading(order)
         terms = g.terms if lc == 1 else {e: c / lc for e, c in g.terms.items()}
-        m = _mask(le)
+        m = tuple_mask(le)
         basis.append(terms)
         lead.append(le)
         cache.append((le, m, Fraction(1), terms))
@@ -312,7 +487,7 @@ def fraction_buchberger(gens, order: MonomialOrder):
         return add(SparsePolynomial(nvars, r)) if r else None
 
     initial = [add(g) for g in sorted(gens, key=lambda g: key(g.leading(order)[0]))]
-    kept_idx = _pair_loop(initial, reduce_pair, key)
+    kept_idx = tuple_pair_loop(initial, reduce_pair, key)
 
     # inter-reduce: replace each element by its normal form modulo the rest
     reduced = []
@@ -333,7 +508,7 @@ def fraction_normal_form(f, basis, order):
     for g in basis:
         if not g.is_zero:
             le, lc = g.leading(order)
-            lead.append((le, _mask(le), lc, g.terms))
+            lead.append((le, tuple_mask(le), lc, g.terms))
     return SparsePolynomial(f.nvars, fraction_reduce_terms(f.terms, lead, order.key))
 
 

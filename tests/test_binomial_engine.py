@@ -1,7 +1,10 @@
-"""The binomial Groebner engine and the divisibility masks.
+"""The binomial Groebner engine, packed monomials and the divisibility masks.
 
 ``toric_ideal`` runs on exponent pairs (``_binomial_basis``); the
-generic ``buchberger`` on term dicts is its oracle. ``generic_toric_ideal``
+generic ``buchberger`` on term dicts is its oracle. Both engines pack each
+monomial into one int (``_Packing``); ``tuple_binomial_basis`` and the
+Fraction engine in conftest, which run on exponent tuples, are the
+oracles of the packing. ``generic_toric_ideal``
 below is the graded path as it was before the binomial engine, kept here
 verbatim in substance: one ``buchberger`` per variable under
 ``_SaturationOrder``, each element divided by the variable's largest
@@ -10,9 +13,13 @@ path before it skipped the variables ``_unit_closure`` shows to be
 units, and ``saturate`` is the oracle of the non-pointed path.
 """
 
+import random
+
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+from conftest import (fraction_buchberger, fraction_membership, tuple_binomial_basis,
+                      tuple_divides, tuple_lcm, tuple_mask, within)
 from toric_kernel import cones as cn
 from toric_kernel import ideals as il
 from toric_kernel import zlattice as zl
@@ -72,6 +79,39 @@ def configurations(rows, cols, lo, hi):
 
 def exponents(n, hi):
     return st.lists(st.integers(0, hi), min_size=n, max_size=n).map(tuple)
+
+
+def wide_exponents(rng, n):
+    """Exponents up to 300, often at the edges of 7 value bits, which fit
+    the minimum 8-bit field (127, 128), and of 8 value bits (255, 256)."""
+    return tuple(rng.choice((rng.randint(0, 3), rng.choice((127, 128, 255, 256)),
+                             rng.randint(0, 300))) for _ in range(n))
+
+
+def kernel_pairs(A):
+    return [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+            for v in zl.columns(zl.kernel_basis(A))]
+
+
+def toric_configuration(rng, k, non_graded_size):
+    """Kernel entries in the hundreds: a row of ones over distinct heights
+    up to 300 for even k, which is graded, else one row of both signs."""
+    if k % 2 == 0:
+        return [[1] * 4, [0, *rng.sample(range(1, 301), 3)]]
+    row = [rng.randint(1, 300) for _ in range(non_graded_size)]
+    row[rng.randrange(non_graded_size)] *= -1
+    return [row]
+
+
+def four_orders(weights, last):
+    return (GREVLEX, LEX, il.elimination_block(1), il._SaturationOrder(weights, last))
+
+
+def tuple_toric_ideal(A):
+    """``toric_ideal`` with the tuple engine in place of the packed one."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(il, "_binomial_basis", tuple_binomial_basis)
+        return il.toric_ideal(A)
 
 
 class TestToricIdealAgainstGenericPath:
@@ -172,8 +212,11 @@ class TestSaturationPasses:
         return il.toric_ideal(A), len(calls)
 
     def test_permutohedral_configuration(self, monkeypatch):
-        # 15 variables, of which the unit closure leaves three to saturate
-        basis, calls = self.count_passes(monkeypatch, permutohedral_configuration())
+        # 15 variables, of which the unit closure leaves three to saturate;
+        # a loop of restarts or a quadratic repacking would miss the budget
+        A = permutohedral_configuration()
+        with within(3):
+            basis, calls = self.count_passes(monkeypatch, A)
         assert len(basis) == 128
         assert calls <= 4
 
@@ -209,6 +252,191 @@ class TestBinomialBasis:
             assert [binomial(a, b) for a, b in basis] == il.buchberger(gens, order)
             assert all(order.key(a) > order.key(b) for a, b in basis)
 
+    def test_matches_the_tuple_engine(self):
+        # inputs past 127 start wider than 8 bits, and LEX bases grow exponents
+        # into the thousands, which restarts a call mid-way
+        rng = random.Random(20261107)
+        with within(30):
+            for _ in range(40):
+                n = rng.randint(2, 3)
+                pairs = [(wide_exponents(rng, n), wide_exponents(rng, n))
+                         for _ in range(rng.randint(1, 3))]
+                pairs = [(u, v) for u, v in pairs if u != v]
+                weights = [rng.randint(1, 3) for _ in range(n)]
+                for order in four_orders(weights, rng.randrange(n)):
+                    assert il._binomial_basis(pairs, order.key) == \
+                        tuple_binomial_basis(pairs, order.key)
+
+    def test_toric_configurations_match_the_tuple_engine(self):
+        rng = random.Random(20261108)
+        with within(30):
+            for k in range(16):
+                A = toric_configuration(rng, k, 4)
+                pairs = kernel_pairs(A)
+                s = len(A[0])
+                for order in four_orders(il._positive_grading(A) or [1] * s, s - 1):
+                    assert il._binomial_basis(pairs, order.key) == \
+                        tuple_binomial_basis(pairs, order.key)
+                # the elimination basis of the path without a grading
+                lifted = [((0,) + u, (0,) + v) for u, v in pairs]
+                lifted.append(((1,) * (s + 1), (0,) * (s + 1)))
+                key = il.elimination_block(1).key
+                assert il._binomial_basis(lifted, key) == tuple_binomial_basis(lifted, key)
+                assert il.toric_ideal(A) == tuple_toric_ideal(A)
+
+
+class TestPackedGenericEngine:
+    """``buchberger`` and ``membership`` on packed monomials against the
+    Fraction engine, which runs on exponent tuples."""
+
+    @staticmethod
+    def check(gens, probes, orders):
+        for order in orders:
+            assert il.buchberger(gens, order) == fraction_buchberger(gens, order)
+            for f in probes:
+                assert il.membership(f, gens, order) == fraction_membership(f, gens, order)
+
+    def test_random_binomials(self):
+        rng = random.Random(20261109)
+        with within(30):
+            for _ in range(20):
+                n = rng.randint(2, 3)
+                # three generators in three variables can take seconds
+                gens = [SparsePolynomial(n, {wide_exponents(rng, n): 1,
+                                             wide_exponents(rng, n): rng.choice((-2, -1, 1, 2))})
+                        for _ in range(rng.randint(1, 5 - n))]
+                gens = [g for g in gens if not g.is_zero]
+                if not gens:
+                    continue
+                member = il.constant(n, 0)
+                for g in gens:
+                    member = member + il.monomial(n, wide_exponents(rng, n)) * g
+                probes = [member, member + il.monomial(n, wide_exponents(rng, n)),
+                          gens[0] + il.constant(n, 1)]
+                weights = [rng.randint(1, 3) for _ in range(n)]
+                self.check(gens, probes, four_orders(weights, rng.randrange(n)))
+
+    def test_a_laurent_generator_fails_fast(self):
+        # packing takes nonnegative exponents only; a negative one would set
+        # guard bits at every width, so x1/x2 - 1 must not reach it
+        f = il.LaurentPolynomial(2, {(1, -1): 1, (0, 0): -1})
+        with within(5), pytest.raises(AttributeError):
+            il.buchberger([f], GREVLEX)
+
+    def test_toric_configurations(self):
+        rng = random.Random(20261110)
+        with within(30):
+            for k in range(24):
+                A = toric_configuration(rng, k, 3)
+                s = len(A[0])
+                gens = [il.lattice_binomial(s, v) for v in zl.columns(zl.kernel_basis(A))]
+                # the toric ideal's elements lie in the lattice ideal only
+                # when it is already saturated
+                probes = il.toric_ideal(A)[:2]
+                self.check(gens, probes, four_orders(il._positive_grading(A) or [1] * s, s - 1))
+
+
+def field_exponents(n, width):
+    top = (1 << width - 1) - 1
+    return st.lists(st.one_of(st.integers(0, top), st.sampled_from([0, 1, top, top + 1])),
+                    min_size=n, max_size=n).map(tuple)
+
+
+class TestPacking:
+    @seed(20261111)
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([8, 9, 16]).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, 6).flatmap(
+        lambda n: st.tuples(field_exponents(n, w), field_exponents(n, w), field_exponents(n, w))))))
+    def test_primitives_match_the_tuple_operations(self, data):
+        # each field holds 0..2^(width-1) - 1 below its guard bit
+        width, abc = data
+        top = (1 << width - 1) - 1
+        P = il._Packing(len(abc[0]), width, GREVLEX.key)
+        for e in abc:
+            if max(e) > top:
+                with pytest.raises(il._Overflow):
+                    P.pack(e)
+        a, b, c = (tuple(min(x, top) for x in e) for e in abc)
+        pa, pb, pc = map(P.pack, (a, b, c))
+        assert P.unpack(pa) == a
+        assert P[pa] == GREVLEX.key(a)
+        assert (pa < pb) == (a < b)
+        assert P.divides(pa, pb) == tuple_divides(a, b)
+        assert P.unpack(P.lcm(pa, pb)) == tuple_lcm(a, b)
+        assert P.support(pa) == P.pack(tuple(min(x, 1) for x in a)) << width - 1
+        assert (P.support(pa) & P.support(pb) == 0) == coprime(a, b)
+        # the rewrite T - a + c of T = lcm(a, b) sets a guard bit exactly
+        # when an exponent outgrows its field
+        T = tuple_lcm(a, b)
+        r = tuple(t - x + z for t, x, z in zip(T, a, c))
+        rewritten = P.lcm(pa, pb) - pa + pc
+        assert bool(rewritten & P.guard) == (max(r) > top)
+        if max(r) <= top:
+            assert rewritten == P.pack(r)
+
+
+class TestWidthGrowth:
+    # two binomials whose exponents fit the 8-bit field; their LEX basis
+    # reaches exponent 2,525
+    PAIRS = [((89, 57), (34, 92)), ((29, 75), (13, 40))]
+
+    @staticmethod
+    def spy_widths(monkeypatch):
+        widths = []
+
+        class Spy(il._Packing):
+            __slots__ = ()
+
+            def __init__(self, nvars, width, key):
+                widths.append(width)
+                super().__init__(nvars, width, key)
+
+        monkeypatch.setattr(il, "_Packing", Spy)
+        return widths
+
+    def test_a_rewrite_past_the_field_restarts_twice_as_wide(self, monkeypatch):
+        widths = self.spy_widths(monkeypatch)
+        with within(30):
+            basis = il._binomial_basis(self.PAIRS, LEX.key)
+        assert widths == [8, 16]
+        assert basis == tuple_binomial_basis(self.PAIRS, LEX.key)
+        assert max(max(a + b) for a, b in basis) == 2525
+
+    def test_exponents_that_fit_take_one_width(self, monkeypatch):
+        # every exponent of these bases, their S-pairs and rewrites stays
+        # below 128, so neither engine restarts; a wrong lcm of fields past
+        # 63 would, and would still end with the right basis
+        pairs = [((61, 85), (35, 18)), ((108, 63), (14, 33))]
+        widths = self.spy_widths(monkeypatch)
+        with within(30):
+            basis = il._binomial_basis(pairs, GREVLEX.key)
+            generic = il.buchberger([binomial(u, v) for u, v in pairs], GREVLEX)
+        assert widths == [8, 8]
+        assert basis == tuple_binomial_basis(pairs, GREVLEX.key)
+        assert generic == [binomial(a, b) for a, b in basis]
+        assert max(max(a + b) for a, b in basis) == 122
+
+    def test_the_minimum_width_gives_the_oracles(self, monkeypatch):
+        rng = random.Random(20)
+        configs = [[[1, 1, 1, 1], [0, 1, 150, 301]]]
+        configs += [[[1] * 4, [0, *rng.sample(range(1, 301), 3)]] for _ in range(3)]
+        configs += [[[rng.choice((-1, 1)) * rng.randint(1, 300) for _ in range(3)]]
+                    for _ in range(3)]
+        cases = []
+        for A in configs:
+            gens = [il.lattice_binomial(len(A[0]), v) for v in zl.columns(zl.kernel_basis(A))]
+            toric = tuple_toric_ideal(A)
+            cases.append((A, gens, toric, fraction_buchberger(gens, GREVLEX),
+                          [fraction_membership(f, gens, GREVLEX) for f in toric[:3]]))
+        monkeypatch.setattr(il, "_field_width", lambda top: 8)
+        widths = self.spy_widths(monkeypatch)
+        with within(30):
+            for A, gens, toric, basis, members in cases:
+                assert il.toric_ideal(A) == toric
+                assert il.buchberger(gens, GREVLEX) == basis
+                assert [il.membership(f, gens, GREVLEX) for f in toric[:3]] == members
+        assert max(widths) > 8
+
 
 def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
@@ -226,18 +454,18 @@ class TestMask:
     def test_three_facts(self, abc):
         # exponents up to 9 run past the 4-bit cap
         a, b, c = abc
-        ma, mb = il._mask(a), il._mask(b)
-        assert ma & ~il._mask(il._mono_mul(a, c)) == 0
+        ma, mb = tuple_mask(a), tuple_mask(b)
+        assert ma & ~tuple_mask(il._mono_mul(a, c)) == 0
         if divides(a, b):
             assert ma & ~mb == 0
         assert (ma & mb == 0) == coprime(a, b)
-        assert il._mask(il._mono_lcm(a, b)) == ma | mb
+        assert tuple_mask(tuple_lcm(a, b)) == ma | mb
 
     def test_exponents_past_the_cap_are_only_filtered(self):
         # the masks of x^5 and x^4 agree, yet x^5 does not divide x^4
         a, b = (5, 0), (4, 0)
-        assert il._mask(a) == il._mask(b)
-        assert not il._mono_divides(a, b)
+        assert tuple_mask(a) == tuple_mask(b)
+        assert not tuple_divides(a, b)
         f = SparsePolynomial(2, {(4, 0): 1})
         assert il.normal_form(f, [binomial((5, 0), (0, 1))], GREVLEX) == f
         pairs = [((5, 0), (0, 1)), ((4, 1), (0, 0))]
