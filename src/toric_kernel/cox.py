@@ -159,17 +159,15 @@ def dehomogenize(f: SparsePolynomial, D: dv.TorusInvariantDivisor,
     F = D.fan
     if not 0 <= cone_index < len(F.maximal_cones):
         raise zl.IndexOutOfRangeError("maximal cone index out of range")
-    I = F.maximal_cones[cone_index]
-    U = [list(F.rays[i]) for i in I]
-    v = zl.solve_integer(U, [-D.coeffs[i] for i in I])
+    v = zl._integral(dv._local_solve(D, F.maximal_cones[cone_index]))
     if v is None:
         raise ValueError("the divisor is not locally principal on the "
                          "chosen cone")
-    Ft = [list(u) for u in F.rays]
+    solve = dv._character_solver(F, range(len(F.rays)))
     base = _shift(F, v, D.coeffs)
     terms = []
     for b, c in f.terms.items():
-        w = zl.solve_integer(Ft, zl.vsub(list(b), base))
+        w = zl._integral(solve(zl.vsub(list(b), base)))
         if w is None:
             raise ValueError(f"term with exponents {list(b)} does not have "
                              "the degree of the divisor")

@@ -12,7 +12,7 @@ divisors in both directions.
 from __future__ import annotations
 
 import warnings
-from math import gcd, inf, lcm
+from math import inf, lcm
 
 from . import cones as cn
 from . import fans as fn
@@ -162,14 +162,26 @@ class CartierFailure:
         return f"CartierFailure(cone_index={self.cone_index})"
 
 
+def _character_solver(F, I):
+    """Factor the system <u_rho, m> = b_rho over the rays rho in I once;
+    return b -> (m, den) with <u_rho, m> = den * b_rho and den >= 1 the
+    least such, or None when no rational m exists. The zero row keeps
+    the n unknowns of m when I is empty."""
+    solve = zl._hnf_solver(*zl.hnf([list(F.rays[i]) for i in I]
+                                   + [[0] * F.ambient_dim]))
+    return lambda b: solve(list(b) + [0])
+
+
+def _local_solve(D, I):
+    """The local system <u_rho, m> = -a_rho on the rays of a cone."""
+    return _character_solver(D.fan, I)([-D.coeffs[i] for i in I])
+
+
 def is_cartier(D: TorusInvariantDivisor):
     """CartierData when D is locally principal, else a CartierFailure."""
-    F = D.fan
     characters = []
-    for k, I in enumerate(F.maximal_cones):
-        U = [list(F.rays[i]) for i in I]
-        b = [-D.coeffs[i] for i in I]
-        m = zl.solve_integer(U, b)
+    for k, I in enumerate(D.fan.maximal_cones):
+        m = zl._integral(_local_solve(D, I))
         if m is None:
             return CartierFailure(k)
         characters.append(m)
@@ -180,22 +192,18 @@ def minimal_cartier_multiple(D: TorusInvariantDivisor):
     """Least l > 0 such that l*D is Cartier, or math.inf when no
     multiple works.
 
-    On a maximal cone with ray matrix U, U m = -l*a is solvable exactly
-    when l is a multiple of the order of the class of -a in the cokernel
-    of U. That order is infinite when a free coordinate is nonzero (only
-    on a non-simplicial cone), else the lcm of d / gcd(d, c) over the
-    torsion coordinates c mod d. The answer is the lcm over all cones.
+    On a maximal cone, U m = -l*a is solvable over Z exactly when l is a
+    multiple of the least common denominator of the rational solutions
+    of U m = -a; there are none when -a leaves the rational span of the
+    rays (only on a non-simplicial cone), and then no multiple works.
+    The answer is the lcm of those denominators over all cones.
     """
-    F = D.fan
     total = 1
-    for I in F.maximal_cones:
-        pres, proj = zl.cokernel([list(F.rays[i]) for i in I])
-        c = zl.cokernel_coords(pres, proj, [-D.coeffs[i] for i in I])
-        k = pres.free_rank
-        if any(c[:k]):
+    for I in D.fan.maximal_cones:
+        sol = _local_solve(D, I)
+        if sol is None:
             return inf
-        for d, x in zip(pres.invariant_factors, c[k:]):
-            total = lcm(total, d // gcd(d, x))
+        total = lcm(total, sol[1])
     return total
 
 
@@ -225,9 +233,10 @@ def picard_group(F):
     if not basis_cols:
         return zl.AbelianGroupPresentation(0)
     B = zl.from_columns(basis_cols, rows=k)
+    solve = zl.integer_solver(B)
     coords = []
     for c in zl.columns(_ray_matrix(F)):
-        x = zl.solve_integer(B, c)
+        x = solve(c)
         assert x is not None, "principal divisors must be Cartier"
         coords.append(x)
     X = zl.from_columns(coords, rows=len(basis_cols))
@@ -308,4 +317,5 @@ def linearly_equivalent(D, E):
     """A character m with D - E = div(chi^m), or None when the classes
     differ (or the difference does not lift to a character)."""
     D._check(E)
-    return zl.solve_integer(_ray_matrix(D.fan), zl.vsub(D.coeffs, E.coeffs))
+    solve = _character_solver(D.fan, range(len(D.fan.rays)))
+    return zl._integral(solve(zl.vsub(D.coeffs, E.coeffs)))

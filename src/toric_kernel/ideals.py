@@ -749,21 +749,12 @@ def toric_ideal(A: zl.Matrix):
 
 
 def is_homogeneous_config(A: zl.Matrix):
-    """Witness (u, c) with <u, a> = c != 0 for every column a, if one exists."""
+    """Witness (u, c) with <u, a> = c != 0 for every column a and c >= 1
+    the least such, if one exists."""
     n, s = zl.shape(A)
     if s == 0:
         return [0] * n, 1
-    sol = zl.solve_rational(zl.transpose(A), [1] * s)
-    if sol is None:
-        return None
-    denom = lcm(*(f.denominator for f in sol)) if sol else 1
-    u = [int(f * denom) for f in sol]
-    c = denom
-    g = gcd(zl.vgcd(u), c)
-    if g > 1:
-        u = [x // g for x in u]
-        c //= g
-    return u, c
+    return zl._hnf_solver(*zl.hnf(zl.transpose(A)))([1] * s)
 
 
 def hilbert_function(A: zl.Matrix, d: int) -> int:

@@ -348,29 +348,41 @@ def cokernel_coords(pres: AbelianGroupPresentation, proj: Matrix, v: list) -> li
 
 
 def _hnf_solver(H: Matrix, U: Matrix):
-    """b -> x with M x = b over Z, or None, from a column HNF H = M U:
-    forward substitution in H gives y, and x = U y."""
+    """b -> (x, den) with M x = den * b and den >= 1 the least such, or
+    None when b is outside the rational span of M's columns, from a
+    column HNF H = M U: forward substitution in H gives y = x' / den with
+    H y = b, pivot coordinates forced and free ones 0, and x = U x'.
+    Since U is unimodular, no rational solution has a smaller common
+    denominator (Cohen, section 2.4.3)."""
     rows, cols = shape(H)
     pivot_of_row = {i: j for i, j in hnf_pivots(H)}
 
     def solve(b: list):
         if len(b) != rows:
             raise ValueError("dimension mismatch")
-        y = [0] * cols
+        y = [0] * cols      # numerators over the common denominator den
+        den = 1
         for i in range(rows):
-            s = b[i] - sum(H[i][j] * y[j] for j in range(cols))
+            s = den * b[i] - sum(H[i][j] * y[j] for j in range(cols))
             j = pivot_of_row.get(i)
             if j is None:
                 if s != 0:
                     return None
-            else:
-                p = H[i][j]
-                if s % p:
-                    return None
-                y[j] = s // p
-        return mat_vec(U, y)
+                continue
+            g = gcd(s, H[i][j])
+            scale = H[i][j] // g
+            if scale > 1:
+                y = [v * scale for v in y]
+                den *= scale
+            y[j] = s // g
+        return mat_vec(U, y), den
 
     return solve
+
+
+def _integral(sol):
+    """x of a solve (x, den) when den is 1, else None."""
+    return sol[0] if sol is not None and sol[1] == 1 else None
 
 
 def integer_solver(M: Matrix):
@@ -380,14 +392,15 @@ def integer_solver(M: Matrix):
     One Hermite normal form of M serves every right-hand side, so a
     batch of solves against one matrix costs one HNF.
     """
-    return _hnf_solver(*hnf(M))
+    solve = _hnf_solver(*hnf(M))
+    return lambda b: _integral(solve(b))
 
 
 def solve_integer(M: Matrix, b: list):
     """An integer solution x of M x = b, or None when none exists."""
     # integer_solver(M)(b), with the HNF taken here so that a trace of
     # this call shows it as a direct child
-    return _hnf_solver(*hnf(M))(b)
+    return _integral(_hnf_solver(*hnf(M))(b))
 
 
 def lattice_index(Msub: Matrix, Msup: Matrix):
@@ -438,36 +451,10 @@ def rank(M: Matrix) -> int:
 
 
 def solve_rational(M: Matrix, b: list):
-    """Any rational solution of M x = b, or None when inconsistent."""
-    rows, cols = shape(M)
-    if len(b) != rows:
-        raise ValueError("dimension mismatch")
-    A = [[Fraction(M[i][j]) for j in range(cols)] + [Fraction(b[i])]
-         for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if A[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = A[i][cols]
-    return x
+    """A rational solution of M x = b whose common denominator is the
+    least of all solutions, or None when inconsistent."""
+    sol = _hnf_solver(*hnf(M))(b)
+    return None if sol is None else [Fraction(v, sol[1]) for v in sol[0]]
 
 
 class RowEchelon:

@@ -53,6 +53,19 @@ def within(seconds):
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
+def spy_hnf(monkeypatch) -> list:
+    """Record the argument of every ``zl.hnf`` call for the rest of the test."""
+    calls = []
+    hnf = zl.hnf
+
+    def spy(M):
+        calls.append(M)
+        return hnf(M)
+
+    monkeypatch.setattr(zl, "hnf", spy)
+    return calls
+
+
 def snf_kernel(M):
     """Kernel basis read off the Smith column transform: the oracle for
     zl.kernel_basis and the basis the library printed before it read
@@ -219,6 +232,44 @@ def pivot_snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     _scale_row(P, t + 1, -1)
                 changed = True
     return S, P, Q
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Gauss-Jordan elimination ``zl.solve_rational`` ran before every
+# solve went through the column HNF, the oracle of the consistency of a
+# system; unchanged apart from its name
+
+def gauss_jordan_solve(M: Matrix, b: list):
+    """Any rational solution of M x = b, or None when inconsistent."""
+    rows, cols = shape(M)
+    if len(b) != rows:
+        raise ValueError("dimension mismatch")
+    A = [[Fraction(M[i][j]) for j in range(cols)] + [Fraction(b[i])]
+         for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        pv = A[r][c]
+        A[r] = [x / pv for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if A[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(piv_cols):
+        x[c] = A[i][cols]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -613,6 +613,17 @@ class TestIdealAndDivisorCommands:
         assert doc["equivalent"] is False
         assert doc["character"] is None
 
+    def test_torus_is_cartier_with_a_character_in_the_plane(self, capsys):
+        torus = {"rays": [], "max_cones": [[]], "ambient": 2}
+        doc = call(capsys, "divisor is-cartier", {"fan": torus, "coeffs": []})
+        assert doc["characters"] == [["0", "0"]]
+
+    def test_multiple_of_a_ray_with_an_integer_character(self, capsys):
+        # 2 m1 + m2 = -1 has the integer solution (0, -1)
+        doc = call(capsys, "divisor min-cartier-multiple",
+                   {"fan": {"rays": [[2, 1]], "max_cones": [[1]]}, "coeffs": [1]})
+        assert doc["multiple"] == "1"
+
 
 class TestCoxCommands:
     def test_irrelevant_ideal_of_the_plane(self, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import spy_hnf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -278,6 +279,19 @@ class TestDehomogenize:
         D = 2 * dv.ray_divisor(P2, 2)
         with pytest.raises(IndexError):
             cx.dehomogenize(self.CONIC, D, 3)
+
+    @pytest.mark.parametrize("t", [3, 4, 6])
+    def test_hnf_count_does_not_grow_with_the_terms(self, monkeypatch, t):
+        # one HNF for the chart's character, one shared by all the terms
+        calls = spy_hnf(monkeypatch)
+        f = il.SparsePolynomial(3, dict.fromkeys(list(self.CONIC.terms)[:t], 1))
+        assert len(cx.dehomogenize(f, 2 * dv.ray_divisor(P2, 2), 0).terms) == t
+        assert len(calls) == 2
+
+    def test_fan_without_rays(self):
+        D = dv.divisor(fn.fan([], [[]], 2), [])
+        assert cx.dehomogenize(il.constant(0, 3), D, 0) == il.LaurentPolynomial(
+            2, {(0, 0): Fraction(3)})
 
 
 class TestRoundtrip:

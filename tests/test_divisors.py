@@ -5,7 +5,7 @@ import warnings
 from math import gcd, inf, lcm
 
 import pytest
-from conftest import pivot_snf, snf_kernel, within
+from conftest import pivot_snf, snf_kernel, spy_hnf, within
 from hypothesis import given, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -172,6 +172,23 @@ class TestCartier:
         assert data.characters == [[-3, 2]] * 4
 
 
+class TestFanWithoutRays:
+    """The torus: one maximal cone with no rays, whose local system still
+    has the n unknowns of a character."""
+    TORUS = fn.fan([], [[]], 2)
+
+    def test_cartier_with_the_zero_character(self):
+        data = dv.is_cartier(dv.divisor(self.TORUS, []))
+        assert data and data.characters == [[0, 0]]
+
+    def test_minimal_multiple_is_one(self):
+        assert dv.minimal_cartier_multiple(dv.divisor(self.TORUS, [])) == 1
+
+    def test_linearly_equivalent_to_itself(self):
+        d = dv.divisor(self.TORUS, [])
+        assert dv.linearly_equivalent(d, d) == [0, 0]
+
+
 class TestMinimalCartierMultiple:
     def test_quarter_fan(self):
         assert dv.minimal_cartier_multiple(dv.ray_divisor(TILTED, 2)) == 6
@@ -239,6 +256,14 @@ class TestMinimalCartierMultipleAgainstSmithWalk:
 
 
 class TestPicardGroup:
+    @pytest.mark.parametrize("F", [P2, P3])
+    def test_one_hnf_for_the_ray_columns(self, monkeypatch, F):
+        # one for the kernel of the Cartier system, one for its basis,
+        # one for the n solves of the ray columns in that basis
+        calls = spy_hnf(monkeypatch)
+        dv.picard_group(F)
+        assert len(calls) == 3
+
     def test_affine_wedge_trivial(self):
         assert dv.picard_group(WEDGE).is_trivial
 

@@ -475,6 +475,10 @@ class TestHomogeneousConfig:
     def test_inhomogeneous(self):
         assert il.is_homogeneous_config([[0, 1]]) is None
 
+    def test_least_witness(self):
+        # u = (0, 1) reaches c = 1; the particular solution (1/2, 0) gave c = 2
+        assert il.is_homogeneous_config([[2], [1]]) == ([0, 1], 1)
+
     def test_scaled_witness(self):
         u, c = il.is_homogeneous_config([[2, 4], [1, 3]])
         assert gcd(gcd(*u), c) == 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from conftest import span_lattice_basis, within
+from conftest import gauss_jordan_solve, span_lattice_basis, within
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -68,7 +68,7 @@ def old_h_lattice_points(facets, n):
         M = [list(u) for u, _ in combo]
         if zl.det(M) == 0:
             continue
-        x = zl.solve_rational(M, [-a for _, a in combo])
+        x = gauss_jordan_solve(M, [-a for _, a in combo])
         if x is not None and feasible(x):
             vertices.append(x)
     if not vertices:

@@ -3,16 +3,17 @@
 The cone and polytope kernels factor each matrix once (an adjugate, an
 HNF-based solver, a row echelon form) and reuse it for every right-hand
 side. The oracles below are the per-right-hand-side code they replaced,
-kept here verbatim in substance: one ``solve_rational`` per point, per
+kept here verbatim in substance: one ``gauss_jordan_solve`` per point, per
 seed ray, per unit vector and per span test.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 import pytest
-from conftest import dedupe
+from conftest import dedupe, gauss_jordan_solve, pivot_snf
 from hypothesis import given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -38,7 +39,7 @@ def old_parallelepiped_points(S, d):
     def rec(i):
         if i == d:
             a = list(idx)
-            t = zl.solve_rational(S, a)
+            t = gauss_jordan_solve(S, a)
             shift = [floor(f) for f in t]
             x = zl.vsub(a, zl.mat_vec(S, shift))
             if any(x):
@@ -65,7 +66,7 @@ def old_seed_rays(cons, n):
     U = [cons[i] for i in indep]
     rays = []
     for j in range(n):
-        t = zl.solve_rational(U, unit(n, j))
+        t = gauss_jordan_solve(U, unit(n, j))
         den = 1
         for f in t:
             den = den * f.denominator // gcd(den, f.denominator)
@@ -148,7 +149,7 @@ class TestAdjugate:
         assert zl.mat_mul(M, adj) == dI
         assert zl.mat_mul(adj, M) == dI
         for j, col in enumerate(zl.columns(adj)):
-            t = zl.solve_rational(M, unit(n, j))
+            t = gauss_jordan_solve(M, unit(n, j))
             assert [Fraction(x, d) for x in col] == t
 
     def test_singular_matrix_rejected(self):
@@ -245,7 +246,7 @@ class TestRowEchelon:
         echelon = zl.RowEchelon(vectors)
         basis = zl.from_columns(vectors, rows=n)
         for u in probes + [list(vectors[0])]:
-            in_span = zl.solve_rational(basis, u) is not None
+            in_span = gauss_jordan_solve(basis, u) is not None
             assert (not any(echelon.residue(u))) == in_span
 
     def test_add_reports_independence(self):
@@ -272,3 +273,81 @@ def test_hilbert_basis_of_simplicial_cones_unchanged():
                              and all(zl.dot(m, zl.vsub(list(c), list(a))) >= 0
                                      for m in normals) for a in cands))
     assert cn.hilbert_basis(sigma).vectors == kept
+
+
+def class_order(M, b):
+    """Order of the class of b in Z^r / (column lattice of M), or None when
+    it is infinite, read off ``pivot_snf``: with S = P M Q and c = P b,
+    every coordinate of c past the rank is 0 for a finite order, which is
+    then the lcm of d / gcd(d, c_i) over the invariant factors d."""
+    rows, cols = zl.shape(M)
+    S, P, _ = pivot_snf(M)
+    c = zl.mat_vec(P, b)
+    diag = [S[i][i] for i in range(min(rows, cols))]
+    rank = sum(1 for d in diag if d)
+    if any(c[rank:]):
+        return None
+    return lcm(1, *(d // gcd(d, x) for d, x in zip(diag[:rank], c)))
+
+
+def seeded_systems(count, seed_):
+    """Seeded (M, b) pairs, r x c with r in 1..5 and c in 0..5. A row that
+    is an integer combination of two earlier rows makes the system rank
+    deficient; b is random, or M x for an integer x divided by the gcd of
+    its entries, which lies in the span and often needs a denominator."""
+    rng = random.Random(seed_)
+    for _ in range(count):
+        r, c = rng.randint(1, 5), rng.randint(0, 5)
+        M = []
+        for _ in range(r):
+            if M and rng.random() < 0.3:
+                u, v = rng.choice(M), rng.choice(M)
+                k = rng.randint(-2, 2)
+                M.append([k * x + y for x, y in zip(u, v)])
+            else:
+                M.append([rng.randint(-6, 6) for _ in range(c)])
+        if rng.random() < 0.5:
+            b = [rng.randint(-9, 9) for _ in range(r)]
+        else:
+            b = zl.mat_vec(M, [rng.randint(-9, 9) for _ in range(c)])
+            g = zl.vgcd(b)
+            b = [v // g for v in b] if g else b
+        yield M, b
+
+
+class TestLeastDenominator:
+    def test_matches_gauss_jordan_and_the_class_order(self):
+        consistent, fractional = 0, 0
+        for M, b in seeded_systems(2400, 20261019):
+            cols = zl.shape(M)[1]
+            sol = zl._hnf_solver(*zl.hnf(M))(b)
+            assert (sol is None) == (gauss_jordan_solve(M, b) is None)
+            assert (sol is None) == (class_order(M, b) is None)
+            x = zl.solve_rational(M, b)
+            if sol is None:
+                assert x is None
+                continue
+            v, den = sol
+            consistent += 1
+            fractional += den > 1
+            assert len(v) == cols
+            assert zl.mat_vec(M, v) == [den * t for t in b]
+            assert den == class_order(M, b)
+            assert x == [Fraction(t, den) for t in v]
+            assert zl.solve_integer(M, b) == (v if den == 1 else None)
+        assert consistent >= 1000 and fractional >= 200
+
+    def test_covers_the_edge_shapes(self):
+        shapes = {(len(M), len(M[0])) for M, _ in seeded_systems(2400, 20261019)}
+        assert {(r, 0) for r in range(1, 6)} <= shapes
+        assert {(1, c) for c in range(6)} <= shapes
+
+    def test_least_denominator_over_a_particular_solution(self):
+        # 2 x + y = 1 has the integer solution (0, 1); Gauss-Jordan gives (1/2, 0)
+        assert gauss_jordan_solve([[2, 1]], [1]) == [Fraction(1, 2), 0]
+        assert zl.solve_rational([[2, 1]], [1]) == [0, 1]
+
+    def test_systems_in_no_unknowns(self):
+        assert zl.solve_rational([[], []], [0, 0]) == []
+        assert zl.solve_rational([[], []], [0, 1]) is None
+        assert zl.solve_rational([], []) == []
