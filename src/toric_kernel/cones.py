@@ -13,8 +13,7 @@ pulling triangulation of the Hilbert basis are read off these masks.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
-from operator import and_, ge
+from operator import add, and_, ge, mul, sub
 
 from . import zlattice as zl
 
@@ -65,25 +64,40 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
         if k in indep:
             continue
         plus, zero, minus = [], [], []
-        for vec, Z in rays:
-            s = zl.dot(u, vec)
+        for bit, (vec, Z) in enumerate(rays):
+            s = sum(map(mul, u, vec))
             if s > 0:
-                plus.append((vec, Z, s))
+                plus.append((vec, Z, s, 1 << bit))
             elif s < 0:
-                minus.append((vec, Z, s))
+                minus.append((vec, Z, s, 1 << bit))
             else:
                 zero.append((vec, Z | 1 << k))
-        new = [(v, Z) for v, Z, _ in plus] + zero
-        for pvec, pZ, ps in plus:
-            for mvec, mZ, ms in minus:
+        new = [(v, Z) for v, Z, _, _ in plus] + zero
+        if plus and minus:
+            # holding[1 << i]: bitmask of the rays whose zero set holds i
+            holding = {}
+            for bit, (_, Z) in enumerate(rays):
+                while Z:
+                    low = Z & -Z
+                    holding[low] = holding.get(low, 0) | 1 << bit
+                    Z ^= low
+            full = (1 << len(rays)) - 1
+        for pvec, pZ, ps, pbit in plus:
+            for mvec, mZ, ms, mbit in minus:
                 T = pZ & mZ
                 # adjacent rays of a pointed cone in R^n share n - 2
                 # independent tight constraints (Fukuda-Prodon)
                 if T.bit_count() < n - 2:
                     continue
-                blocked = any(Z3 & T == T and v3 is not pvec and v3 is not mvec
-                              for v3, Z3 in rays)
-                if blocked:
+                # the pair is adjacent when no third ray's zero set holds T:
+                # the rays holding every bit of T are the pair alone
+                pair = pbit | mbit
+                blockers, rest = full, T
+                while rest and blockers != pair:
+                    low = rest & -rest
+                    blockers &= holding[low]
+                    rest ^= low
+                if blockers != pair:
                     continue
                 w = zl.vadd(zl.vscale(ps, mvec), zl.vscale(-ms, pvec))
                 new.append((zl.primitive(w), T | 1 << k))
@@ -112,7 +126,7 @@ def halfspace_generators(constraints, n):
         # u = B c with c = coords u, so <u, x> = <c, B^T x>, and B^T maps
         # Z^n onto Z^r with kernel the lineality, spanned by pi's rows:
         # a ray's coords^T lift is primitive, with the ray's zero set
-        coords, _, pi, _ = zl.lattice_split(cons, n)
+        coords, pi = zl.lattice_coords(cons, n)
         quotient = _dual_rays_with_zero_sets([zl.mat_vec(coords, u) for u in cons],
                                              len(coords))
         H = zl.hnf(zl.transpose(pi))[0]     # full column rank
@@ -340,17 +354,53 @@ class HilbertBasis:
 
 def _parallelepiped_points(S, d):
     """Nonzero lattice points of {S t : t in [0,1)^d}, S a d x d matrix
-    with linearly independent columns."""
+    with linearly independent columns.
+
+    The box a in prod [0, h_i) over the diagonal of the column HNF of S
+    holds one point of each class of Z^d / S Z^d, and the class of a
+    meets the parallelepiped in x = a - S floor(A a / D), for D = |det S|
+    and A = D S^-1 = +-adj S. The box is walked in mixed radix, the last
+    digit fastest, keeping x and the residues r = A a mod D: a step adds
+    1 to one digit and wraps the later ones from h - 1 to 0, which moves
+    a, and so r and x, by fixed amounts; each residue that then passes D
+    wraps and takes one more column of S off x. Only a = 0 gives x = 0.
+    """
     H, _ = zl.hnf(S)
-    # S^-1 a = adj a / det, and // floors the exact quotient for either
-    # sign of det
     adj, det = zl.adjugate(S)
+    D = abs(det)
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
+    cols = zl.columns(S)
+    digits = [j for j in range(d) if H[j][j] > 1]
+    # steps[t]: (move of x, [(i, move of r_i)]) for a carry into digits[t]
+    steps = []
+    for t, j in enumerate(digits):
+        move = [0] * d
+        move[j] = 1
+        for i in digits[t + 1:]:
+            move[i] = 1 - H[i][i]
+        q, dr = zip(*(divmod(v, D) for v in zl.mat_vec(adj, move)))
+        steps.append((zl.vsub(move, zl.mat_vec(S, q)),
+                      [(i, v) for i, v in enumerate(dr) if v]))
+    top = [H[j][j] - 1 for j in digits]
+    counter = [0] * len(digits)
+    r, x = [0] * d, [0] * d
     points = set()
-    for a in product(*(range(H[i][i]) for i in range(d))):
-        shift = [x // det for x in zl.mat_vec(adj, a)]
-        x = zl.vsub(a, zl.mat_vec(S, shift))
-        if any(x):
-            points.add(tuple(x))
+    for _ in range(D - 1):
+        t = len(digits) - 1
+        while counter[t] == top[t]:
+            counter[t] = 0
+            t -= 1
+        counter[t] += 1
+        move, dr = steps[t]
+        x = list(map(add, x, move))
+        for i, v in dr:
+            v += r[i]
+            if v >= D:
+                v -= D
+                x = list(map(sub, x, cols[i]))
+            r[i] = v
+        points.add(tuple(x))
     return points
 
 
@@ -420,7 +470,7 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
     # c - a lies in sigma exactly when its values on the normals are >= 0
     graded = []
     for c in candidates:
-        v = [zl.dot(m, c) for m in normals]
+        v = [sum(map(mul, m, c)) for m in normals]
         graded.append((sum(v), v, c))
     graded.sort()
     kept, basis = [], []

@@ -233,10 +233,11 @@ def picard_group(F):
     if not basis_cols:
         return zl.AbelianGroupPresentation(0)
     B = zl.from_columns(basis_cols, rows=k)
-    solve = zl.integer_solver(B)
+    # B is H less its zero columns, so it is a column HNF already
+    solve = zl._hnf_solver(B, zl.identity(len(basis_cols)))
     coords = []
     for c in zl.columns(_ray_matrix(F)):
-        x = solve(c)
+        x = zl._integral(solve(c))
         assert x is not None, "principal divisors must be Cartier"
         coords.append(x)
     X = zl.from_columns(coords, rows=len(basis_cols))

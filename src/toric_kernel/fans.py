@@ -241,7 +241,7 @@ def star_quotient_fan(F: Fan, tau):
     n = F.ambient_dim
     if not tau:
         return F, zl.identity(n)
-    _, _, pi, _ = zl.lattice_split([F.rays[i] for i in tau], n)
+    _, pi = zl.lattice_coords([F.rays[i] for i in tau], n)
     d = n - len(pi)
     if d == n:
         return _trusted_fan([], [()], 0), pi

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 Matrix = list  # list[list[int]], row-major
 
@@ -61,7 +62,7 @@ def mat_vec(A: Matrix, v: list) -> list:
     rows, cols = shape(A)
     if len(v) != cols:
         raise ValueError("dimension mismatch")
-    return [sum(A[i][k] * v[k] for k in range(cols)) for i in range(rows)]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def columns(M: Matrix) -> list:
@@ -82,7 +83,9 @@ def from_columns(cols_list: list, rows: int | None = None) -> Matrix:
 # vector helpers shared across the package
 
 def dot(u: list, v: list) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    return sum(map(mul, u, v))
 
 
 def vadd(u: list, v: list) -> list:
@@ -98,10 +101,7 @@ def vscale(c, u: list) -> list:
 
 
 def vgcd(v: list) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: list) -> list:
@@ -318,6 +318,15 @@ def cokernel(M: Matrix) -> tuple[AbelianGroupPresentation, Matrix]:
     return pres, proj
 
 
+def lattice_coords(vectors: list, n: int) -> tuple[Matrix, Matrix]:
+    """(coords, pi) of ``lattice_split``, from its first HNF alone."""
+    rows = [list(v) for v in vectors]
+    H, U = hnf(rows) if rows else ([], identity(n))
+    r = len(hnf_pivots(H))
+    cols = columns(U)
+    return cols[:r], cols[r:]
+
+
 def lattice_split(vectors: list, n: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """(coords, basis, pi, lift) for the saturated span of the vectors in
     Z^n, all from the column HNF M U = [H | 0] of the vectors as the rows
@@ -331,13 +340,12 @@ def lattice_split(vectors: list, n: int) -> tuple[Matrix, Matrix, Matrix, Matrix
     columns of ``lift`` = L are a section of pi. When the vectors are a
     basis of a saturated lattice, H is the identity and basis is them.
     """
-    rows = [list(v) for v in vectors]
-    H, U = hnf(rows) if rows else ([], identity(n))
-    r = len(hnf_pivots(H))
-    Uinv = hnf(U)[1]        # the column HNF of a unimodular U is I
-    cols = columns(U)
-    return (cols[:r], from_columns(Uinv[:r], rows=n),
-            cols[r:], from_columns(Uinv[r:], rows=n))
+    coords, pi = lattice_coords(vectors, n)
+    r = len(coords)
+    # the column HNF of a unimodular U is I, so its transform is U^-1
+    Uinv = hnf(from_columns(coords + pi, rows=n))[1]
+    return (coords, from_columns(Uinv[:r], rows=n),
+            pi, from_columns(Uinv[r:], rows=n))
 
 
 def cokernel_coords(pres: AbelianGroupPresentation, proj: Matrix, v: list) -> list:
@@ -416,10 +424,11 @@ def lattice_index(Msub: Matrix, Msup: Matrix):
         raise ValueError("ambient dimensions differ")
     Hs, _ = hnf(Msup)
     rank_sup = len(hnf_pivots(Hs))
-    solve = integer_solver([row[:rank_sup] for row in Hs])
+    # the leading columns of Hs are already a column HNF
+    solve = _hnf_solver([row[:rank_sup] for row in Hs], identity(rank_sup))
     coords = []
     for col in columns(Msub):
-        y = solve(col)
+        y = _integral(solve(col))
         if y is None:
             raise ValueError("column of Msub lies outside the superlattice")
         coords.append(y)

@@ -7,6 +7,7 @@ import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -911,3 +912,62 @@ def tuple_hilbert_function(A: zl.Matrix, d: int) -> int:
     for _ in range(d):
         current = {_mono_mul(a, p) for a in current for p in points}
     return len(current)
+
+
+# ---------------------------------------------------------------------------
+# the per-ray cone kernels, the oracles of cones.py: ``scan_dual_rays_with_zero_sets``
+# is ``cones._dual_rays_with_zero_sets`` with its adjacency test a scan of every
+# current ray, and ``adjugate_parallelepiped_points`` is
+# ``cones._parallelepiped_points`` with two matrix-vector products per box
+# point, as the library ran them before, unchanged apart from their names
+
+def scan_dual_rays_with_zero_sets(cons, n, indep=None):
+    if n == 0:
+        return []
+    if indep is None:
+        indep = cn._independent_rows(cons, n)
+    if len(indep) < n:
+        raise ValueError("constraint matrix does not have full rank")
+    adj, det = zl.adjugate([cons[i] for i in indep])
+    sign = 1 if det > 0 else -1
+    seed = sum(1 << i for i in indep)
+    rays = [(zl.primitive([sign * row[j] for row in adj]),
+             seed & ~(1 << indep[j])) for j in range(n)]
+    for k, u in enumerate(cons):
+        if k in indep:
+            continue
+        plus, zero, minus = [], [], []
+        for vec, Z in rays:
+            s = zl.dot(u, vec)
+            if s > 0:
+                plus.append((vec, Z, s))
+            elif s < 0:
+                minus.append((vec, Z, s))
+            else:
+                zero.append((vec, Z | 1 << k))
+        new = [(v, Z) for v, Z, _ in plus] + zero
+        for pvec, pZ, ps in plus:
+            for mvec, mZ, ms in minus:
+                T = pZ & mZ
+                if T.bit_count() < n - 2:
+                    continue
+                blocked = any(Z3 & T == T and v3 is not pvec and v3 is not mvec
+                              for v3, Z3 in rays)
+                if blocked:
+                    continue
+                w = zl.vadd(zl.vscale(ps, mvec), zl.vscale(-ms, pvec))
+                new.append((zl.primitive(w), T | 1 << k))
+        rays = new
+    return rays
+
+
+def adjugate_parallelepiped_points(S, d):
+    H, _ = zl.hnf(S)
+    adj, det = zl.adjugate(S)
+    points = set()
+    for a in product(*(range(H[i][i]) for i in range(d))):
+        shift = [x // det for x in zl.mat_vec(adj, a)]
+        x = zl.vsub(a, zl.mat_vec(S, shift))
+        if any(x):
+            points.add(tuple(x))
+    return points

@@ -193,7 +193,7 @@ class TestBudgets:
 
     def test_dim_5(self):
         _, polys = self.draws()
-        with within(10.0):
+        with within(3.0):
             assert pt.mixed_volume(polys) == 676
 
 

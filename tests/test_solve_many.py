@@ -13,7 +13,8 @@ from itertools import combinations
 from math import floor, gcd, lcm
 
 import pytest
-from conftest import dedupe, gauss_jordan_solve, pivot_snf
+from conftest import (adjugate_parallelepiped_points, dedupe, gauss_jordan_solve,
+                      pivot_snf)
 from hypothesis import given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -169,6 +170,42 @@ class TestParallelepipedPoints:
         if zl.det(S) == 0:
             return
         assert cn._parallelepiped_points(S, d) == old_parallelepiped_points(S, d)
+
+    @pytest.mark.parametrize("S", [
+        [[0, 1], [3, 0]],                       # det < 0
+        [[2, 1], [1, 1]], [[1, 2], [1, 1]],     # |det| = 1: no points
+        [[1]], [[5]], [[-4]],                   # d = 1
+        [[2, 1, 0], [0, 3, 1], [1, 0, 4]],      # an HNF with entries off its diagonal
+        [[-3, 1, 2, 0], [1, 4, 0, -2], [0, 1, 5, 1], [2, 0, 1, 3]],
+    ])
+    def test_walk_matches_the_enumerations(self, S):
+        d = len(S)
+        points = cn._parallelepiped_points(S, d)
+        assert points == old_parallelepiped_points(S, d)
+        assert points == adjugate_parallelepiped_points(S, d)
+        assert len(points) == abs(zl.det(S)) - 1
+
+    def test_walk_on_seeded_matrices(self):
+        rng = random.Random(20261025)
+        seen = set()
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            S = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
+            det = zl.det(S)
+            if not 0 < abs(det) <= 600:
+                continue
+            H, _ = zl.hnf(S)
+            seen.add("det < 0" if det < 0 else "det > 0")
+            seen.add("|det| = 1" if abs(det) == 1 else "|det| > 1")
+            seen.add(f"d = {d}")
+            if any(H[i][j] for i in range(d) for j in range(i)):
+                seen.add("off-diagonal HNF")
+            expected = adjugate_parallelepiped_points(S, d)
+            assert cn._parallelepiped_points(S, d) == expected, S
+            if abs(det) <= 60:
+                assert expected == old_parallelepiped_points(S, d), S
+        assert seen >= {"det < 0", "det > 0", "|det| = 1", "|det| > 1", "d = 1",
+                        "d = 4", "off-diagonal HNF"}
 
 
 class TestPointedDualRays:

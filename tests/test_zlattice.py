@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (pivot_snf, quotient_map, snf_kernel, span_lattice_basis,
-                      within)
+                      spy_hnf, within)
 from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
@@ -254,6 +254,19 @@ class TestLatticeSplit:
             assert zl.solve_integer(zl.transpose(pi), p) is not None
 
 
+    def test_coords_and_pi_from_one_hnf(self, monkeypatch):
+        rng = random.Random(20261026)
+        calls = spy_hnf(monkeypatch)
+        for _ in range(100):
+            n = rng.randint(0, 5)
+            vectors = [[rng.randint(-4, 4) for _ in range(n)]
+                       for _ in range(rng.randint(0, n + 1))]
+            coords, _, pi, _ = zl.lattice_split(vectors, n)
+            before = len(calls)
+            assert zl.lattice_coords(vectors, n) == (coords, pi)
+            assert len(calls) - before == (1 if vectors else 0)
+
+
 class TestCokernel:
     def test_p2(self):
         Ft = [[1, 0], [0, 1], [-1, -1]]
@@ -327,6 +340,27 @@ class TestLatticeIndex:
     def test_outside_raises(self):
         with pytest.raises(ValueError):
             zl.lattice_index([[1], [1]], [[2, 0], [0, 2]])
+
+    def test_two_hnfs(self, monkeypatch):
+        # one HNF of Msup, whose leading columns the solves run on as
+        # they are, and one of the coordinates; with Msup nonsingular and
+        # Msub = Msup X the index is [Z^n : X Z^k], the product of the
+        # Smith invariants of X
+        rng = random.Random(20261027)
+        checked = 0
+        while checked < 60:
+            n, k = rng.randint(1, 4), rng.randint(1, 5)
+            Msup = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if zl.det(Msup) == 0:
+                continue
+            X = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            diag = zl.snf_diagonal(X)
+            expected = math.prod(diag) if len(diag) == n and all(diag) else math.inf
+            calls = spy_hnf(monkeypatch)
+            assert zl.lattice_index(zl.mat_mul(Msup, X), Msup) == expected
+            monkeypatch.undo()
+            assert len(calls) == 2
+            checked += 1
 
 
 class TestAffineGens:
