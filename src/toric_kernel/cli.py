@@ -12,8 +12,11 @@ present. The result is a single JSON object on standard output with
 the same "schema" tag. Exit codes: 0 on success, 1 when a library
 precondition fails (the "error" field carries the message), 2 when the
 request violates the schema (the "path" field carries a JSON pointer
-to the offending node), 3 on an internal error, a bug (the "error"
-field names the exception, the traceback goes to standard error).
+to the offending node; it is "" for a request that cannot be read at
+all: not UTF-8, not JSON, nested too deeply for the parser, or with a
+number literal past the interpreter's digit limit), 3 on an internal
+error, a bug (the "error" field names the exception, the traceback goes
+to standard error).
 
 Conventions shared by every subcommand:
 
@@ -74,13 +77,34 @@ def _command(name):
 
 
 # -- request readers -----------------------------------------------------
+#
+# A reader takes a JSON node and its JSON pointer and raises SchemaError
+# at that pointer; field() and read_array() hand each child its own
+# pointer, so no caller spells one.
 
-def _get(node, key, path):
+_REQUIRED = object()
+
+
+def field(node, key, read, *args, path=_P, default=_REQUIRED,
+          missing="missing required field"):
+    """Field `key` of the object at `path`, read by read(value, pointer,
+    *args); when it is absent, `default` if one is given, else a schema
+    error at its pointer that says `missing`."""
     if not isinstance(node, dict):
         raise SchemaError("expected a JSON object", path)
-    if key not in node:
-        raise SchemaError(f"missing required field '{key}'", f"{path}/{key}")
-    return node[key]
+    if key in node:
+        return read(node[key], f"{path}/{key}", *args)
+    if default is _REQUIRED:
+        raise SchemaError(f"{missing} '{key}'", f"{path}/{key}")
+    return default
+
+
+def read_array(node, path, read_item, what, *args) -> list:
+    """Item i of an array read by read_item(item, path/i, *args); `what`
+    names the items in the error when the node is not an array."""
+    if not isinstance(node, list):
+        raise SchemaError(f"expected an array of {what}", path)
+    return [read_item(x, f"{path}/{i}", *args) for i, x in enumerate(node)]
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -105,6 +129,13 @@ def read_int(node, path) -> int:
     raise SchemaError("expected an integer or a decimal string", path)
 
 
+def read_natural(node, path, what) -> int:
+    n = read_int(node, path)
+    if n < 0:
+        raise SchemaError(f"{what} must be nonnegative", path)
+    return n
+
+
 def read_rational(node, path) -> Fraction:
     if isinstance(node, int) and not isinstance(node, bool):
         return Fraction(node)
@@ -122,18 +153,18 @@ def read_bool(node, path) -> bool:
     return node
 
 
-def read_vector(node, path) -> list:
-    if not isinstance(node, list):
-        raise SchemaError("expected an array of integers", path)
-    return [read_int(x, f"{path}/{i}") for i, x in enumerate(node)]
+def read_vector(node, path, length=None, per=None, read_item=read_int) -> list:
+    """An array of integers; when `length` is given, one per `per`."""
+    v = read_array(node, path, read_item, "integers")
+    if length is not None and len(v) != length:
+        raise SchemaError(f"expected {length} integers, one per {per}", path)
+    return v
 
 
 def read_matrix(node, path, allow_empty=False) -> list:
-    if not isinstance(node, list):
-        raise SchemaError("expected an array of integer arrays", path)
-    if not node and not allow_empty:
+    rows = read_array(node, path, read_vector, "integer arrays")
+    if not rows and not allow_empty:
         raise SchemaError("expected at least one row", path)
-    rows = [read_vector(r, f"{path}/{i}") for i, r in enumerate(node)]
     if len({len(r) for r in rows}) > 1:
         raise SchemaError("rows have unequal lengths", path)
     return rows
@@ -147,39 +178,27 @@ def read_index(node, path, count, what) -> int:
     return k - 1
 
 
+def read_ray_indices(node, path, count) -> list:
+    return read_array(node, path, read_index, "1-based ray indices", count,
+                      "ray")
+
+
 def _read_ambient(node, path, vectors, what) -> int:
     """An explicit nonnegative 'ambient', else the length of the first
     vector; `what` names the object in the error when there is neither."""
-    if "ambient" in node:
-        ambient = read_int(node["ambient"], f"{path}/ambient")
-        if ambient < 0:
-            raise SchemaError("ambient dimension must be nonnegative",
-                              f"{path}/ambient")
-        return ambient
-    if vectors:
-        return len(vectors[0])
-    raise SchemaError(f"{what} needs an explicit 'ambient'", f"{path}/ambient")
+    return field(node, "ambient", read_natural, "ambient dimension", path=path,
+                 default=len(vectors[0]) if vectors else _REQUIRED,
+                 missing=f"{what} needs an explicit")
 
 
 def _fan_fields(node, path):
     if not isinstance(node, dict):
         raise SchemaError("expected a fan object with 'rays' and 'max_cones'",
                           path)
-    rays = read_matrix(_get(node, "rays", path), f"{path}/rays",
-                       allow_empty=True)
+    rays = field(node, "rays", read_matrix, True, path=path)
     ambient = _read_ambient(node, path, rays, "a fan without rays")
-    cones_node = _get(node, "max_cones", path)
-    if not isinstance(cones_node, list):
-        raise SchemaError("expected an array of ray-index arrays",
-                          f"{path}/max_cones")
-    cones = []
-    for i, c in enumerate(cones_node):
-        if not isinstance(c, list):
-            raise SchemaError("expected an array of 1-based ray indices",
-                              f"{path}/max_cones/{i}")
-        cones.append([read_index(x, f"{path}/max_cones/{i}/{j}",
-                                 len(rays), "ray")
-                      for j, x in enumerate(c)])
+    cones = field(node, "max_cones", read_array, read_ray_indices,
+                  "ray-index arrays", len(rays), path=path)
     return rays, cones, ambient
 
 
@@ -188,61 +207,44 @@ def read_fan(node, path) -> fn.Fan:
     return fn.fan(rays, cones, ambient)
 
 
-def read_payload_fan(p) -> fn.Fan:
-    return read_fan(_get(p, "fan", _P), f"{_P}/fan")
-
-
 def read_polytope(p, path) -> pt.LatticePolytope:
-    points = read_matrix(_get(p, "points", path), f"{path}/points")
-    return pt.hull(points)
+    return pt.hull(field(p, "points", read_matrix, path=path))
+
+
+def read_polytopes(node, path) -> list:
+    polytopes = read_array(node, path, read_polytope, "polytopes")
+    if not polytopes:
+        raise SchemaError("expected a nonempty array of polytopes", path)
+    return polytopes
 
 
 def read_cone_payload(p) -> cn.Cone:
-    gens = read_matrix(_get(p, "generators", _P), f"{_P}/generators",
-                       allow_empty=True)
+    gens = field(p, "generators", read_matrix, True)
     c = cn.cone(gens, _read_ambient(p, _P, gens, "a cone without generators"))
-    if "dual" in p and read_bool(p["dual"], f"{_P}/dual"):
-        c = c.dual()
-    return c
+    return c.dual() if field(p, "dual", read_bool, default=False) else c
 
 
 def read_payload_divisor(p) -> dv.TorusInvariantDivisor:
-    F = read_payload_fan(p)
-    coeffs = read_vector(_get(p, "coeffs", _P), f"{_P}/coeffs")
-    if len(coeffs) != len(F.rays):
-        raise SchemaError(f"expected {len(F.rays)} coefficients, one per ray",
-                          f"{_P}/coeffs")
-    return dv.divisor(F, coeffs)
+    F = field(p, "fan", read_fan)
+    return dv.divisor(F, field(p, "coeffs", read_vector, len(F.rays), "ray"))
 
 
-def _read_terms(node, path, nonnegative):
+def _read_terms(node, path, read_exponent):
     if not isinstance(node, dict):
         raise SchemaError("expected a polynomial object with 'terms'", path)
-    terms_node = _get(node, "terms", path)
-    if not isinstance(terms_node, list):
-        raise SchemaError("expected an array of terms", f"{path}/terms")
-    nvars = None
-    if "nvars" in node:
-        nvars = read_int(node["nvars"], f"{path}/nvars")
-        if nvars < 0:
-            raise SchemaError("nvars must be nonnegative", f"{path}/nvars")
+    nvars = field(node, "nvars", read_natural, "nvars", path=path, default=None)
     terms = {}
-    for i, t in enumerate(terms_node):
-        tpath = f"{path}/terms/{i}"
-        exp = read_vector(_get(t, "exp", tpath), f"{tpath}/exp")
-        if nonnegative:
-            for j, e in enumerate(exp):
-                if e < 0:
-                    raise SchemaError("exponents must be nonnegative",
-                                      f"{tpath}/exp/{j}")
-        if nvars is None:
-            nvars = len(exp)
-        elif len(exp) != nvars:
-            raise SchemaError("exponent vectors have unequal lengths",
-                              f"{tpath}/exp")
-        coeff = read_rational(_get(t, "coeff", tpath), f"{tpath}/coeff")
-        key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+
+    def read_term(t, tpath):
+        # the first exponent fixes nvars when 'nvars' is absent
+        nonlocal nvars
+        exp = tuple(field(t, "exp", read_vector, nvars, "variable",
+                          read_exponent, path=tpath))
+        nvars = len(exp)
+        coeff = field(t, "coeff", read_rational, path=tpath)
+        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+
+    field(node, "terms", read_array, read_term, "terms", path=path)
     if nvars is None:
         raise SchemaError("cannot infer the number of variables; "
                           "give 'nvars'", path)
@@ -250,13 +252,18 @@ def _read_terms(node, path, nonnegative):
 
 
 def read_laurent(node, path) -> il.LaurentPolynomial:
-    nvars, terms = _read_terms(node, path, nonnegative=False)
-    return il.LaurentPolynomial(nvars, terms)
+    return il.LaurentPolynomial(*_read_terms(node, path, read_int))
 
 
-def read_sparse(node, path) -> il.SparsePolynomial:
-    nvars, terms = _read_terms(node, path, nonnegative=True)
-    return il.SparsePolynomial(nvars, terms)
+def read_sparse(node, path, nvars=None) -> il.SparsePolynomial:
+    """A polynomial with nonnegative exponents, in `nvars` variables (those
+    of 'f' in ideal member) when that is given."""
+    f = il.SparsePolynomial(*_read_terms(
+        node, path, lambda e, q: read_natural(e, q, "exponents")))
+    if nvars is not None and f.nvars != nvars:
+        raise SchemaError(f"expected a polynomial in {nvars} variables, "
+                          "like 'f'", path)
+    return f
 
 
 # -- result writers ------------------------------------------------------
@@ -387,25 +394,18 @@ def _polytope_ehrhart(p):
     return {"coeffs": [w_rat(c) for c in poly.coeffs]}
 
 
-def _read_polytope_list(p, key):
-    node = _get(p, key, _P)
-    if not isinstance(node, list) or not node:
-        raise SchemaError("expected a nonempty array of polytopes",
-                          f"{_P}/{key}")
-    return [read_polytope(s, f"{_P}/{key}/{i}") for i, s in enumerate(node)]
-
-
 @_command("polytope minkowski")
 def _polytope_minkowski(p):
     total = None
-    for Q in _read_polytope_list(p, "summands"):
+    for Q in field(p, "summands", read_polytopes):
         total = Q if total is None else pt.minkowski_sum(total, Q)
     return {"vertices": w_mat(total.vertices)}
 
 
 @_command("polytope mixed-volume")
 def _polytope_mixed_volume(p):
-    return {"value": w_int(pt.mixed_volume(_read_polytope_list(p, "polytopes")))}
+    polytopes = field(p, "polytopes", read_polytopes)
+    return {"value": w_int(pt.mixed_volume(polytopes))}
 
 
 @_command("polytope is-normal")
@@ -430,7 +430,7 @@ def _polytope_project_full(p):
 
 @_command("fan validate")
 def _fan_validate(p):
-    rays, cones, ambient = _fan_fields(_get(p, "fan", _P), f"{_P}/fan")
+    rays, cones, ambient = field(p, "fan", _fan_fields)
     try:
         F = fn.fan(rays, cones, ambient)
     except ValueError as e:
@@ -445,61 +445,52 @@ def _fan_normal_fan(p):
 
 @_command("fan is-complete")
 def _fan_is_complete(p):
-    return {"value": fn.is_complete(read_payload_fan(p))}
+    return {"value": fn.is_complete(field(p, "fan", read_fan))}
 
 
 @_command("fan is-smooth")
 def _fan_is_smooth(p):
-    return {"value": fn.is_smooth(read_payload_fan(p))}
+    return {"value": fn.is_smooth(field(p, "fan", read_fan))}
 
 
 @_command("fan is-simplicial")
 def _fan_is_simplicial(p):
-    return {"value": fn.is_simplicial(read_payload_fan(p))}
+    return {"value": fn.is_simplicial(field(p, "fan", read_fan))}
 
 
 @_command("fan star-subdivide")
 def _fan_star_subdivide(p):
-    F = read_payload_fan(p)
-    k = read_index(_get(p, "cone_index", _P), f"{_P}/cone_index",
-                   len(F.maximal_cones), "maximal cone")
+    F = field(p, "fan", read_fan)
+    k = field(p, "cone_index", read_index, len(F.maximal_cones),
+              "maximal cone")
     return {"fan": w_fan(fn.star_subdivision(F, k))}
 
 
 @_command("fan product")
 def _fan_product(p):
-    F1 = read_fan(_get(p, "first", _P), f"{_P}/first")
-    F2 = read_fan(_get(p, "second", _P), f"{_P}/second")
+    F1, F2 = field(p, "first", read_fan), field(p, "second", read_fan)
     return {"fan": w_fan(fn.product_fan(F1, F2))}
 
 
 @_command("fan limit-cone")
 def _fan_limit_cone(p):
-    F = read_payload_fan(p)
-    v = read_vector(_get(p, "point", _P), f"{_P}/point")
-    if len(v) != F.ambient_dim:
-        raise SchemaError(f"expected a point of length {F.ambient_dim}",
-                          f"{_P}/point")
+    F = field(p, "fan", read_fan)
+    v = field(p, "point", read_vector, F.ambient_dim, "coordinate")
     I = fn.cone_containing_relint(F, v)
     return {"cone": None if I is None else w_indices(I)}
 
 
 @_command("fan star-quotient")
 def _fan_star_quotient(p):
-    F = read_payload_fan(p)
-    node = _get(p, "cone", _P)
-    if not isinstance(node, list):
-        raise SchemaError("expected an array of 1-based ray indices",
-                          f"{_P}/cone")
-    tau = [read_index(x, f"{_P}/cone/{i}", len(F.rays), "ray")
-           for i, x in enumerate(node)]
+    F = field(p, "fan", read_fan)
+    tau = field(p, "cone", read_ray_indices, len(F.rays))
     G, projection = fn.star_quotient_fan(F, tau)
     return {"fan": w_fan(G), "projection": w_mat(projection)}
 
 
 @_command("fan orbits")
 def _fan_orbits(p):
-    table = fn.orbit_table(read_payload_fan(p))
+    table = fn.orbit_table(field(p, "fan", read_fan))
     return {"orbits": [{"cone": w_indices(I),
                         "orbit_dim": w_int(d),
                         "closure": [w_indices(J) for J in closure]}
@@ -508,9 +499,8 @@ def _fan_orbits(p):
 
 @_command("fan compatible")
 def _fan_compatible(p):
-    A = read_matrix(_get(p, "map", _P), f"{_P}/map", allow_empty=True)
-    F1 = read_fan(_get(p, "source", _P), f"{_P}/source")
-    F2 = read_fan(_get(p, "target", _P), f"{_P}/target")
+    A = field(p, "map", read_matrix, True)
+    F1, F2 = field(p, "source", read_fan), field(p, "target", read_fan)
     return {"value": fn.is_compatible(A, F1, F2)}
 
 
@@ -518,35 +508,23 @@ def _fan_compatible(p):
 
 @_command("ideal toric")
 def _ideal_toric(p):
-    A = read_matrix(_get(p, "matrix", _P), f"{_P}/matrix")
+    A = field(p, "matrix", read_matrix)
     return {"generators": [w_poly(g) for g in il.toric_ideal(A)]}
 
 
 @_command("ideal member")
 def _ideal_member(p):
-    f = read_sparse(_get(p, "f", _P), f"{_P}/f")
-    node = _get(p, "generators", _P)
-    if not isinstance(node, list):
-        raise SchemaError("expected an array of polynomials",
-                          f"{_P}/generators")
-    gens = []
-    for i, g in enumerate(node):
-        gi = read_sparse(g, f"{_P}/generators/{i}")
-        if gi.nvars != f.nvars:
-            raise SchemaError("generator uses a different number of "
-                              "variables than 'f'", f"{_P}/generators/{i}")
-        gens.append(gi)
+    f = field(p, "f", read_sparse)
+    gens = field(p, "generators", read_array, read_sparse, "polynomials",
+                 f.nvars)
     return {"value": il.membership(f, gens)}
 
 
 @_command("ideal hilbert-function")
 def _ideal_hilbert_function(p):
-    A = read_matrix(_get(p, "matrix", _P), f"{_P}/matrix")
-    degrees = read_vector(_get(p, "degrees", _P), f"{_P}/degrees")
-    for i, d in enumerate(degrees):
-        if d < 0:
-            raise SchemaError("degrees must be nonnegative",
-                              f"{_P}/degrees/{i}")
+    A = field(p, "matrix", read_matrix)
+    degrees = field(p, "degrees", read_array, read_natural, "integers",
+                    "degrees")
     return {"values": [w_int(v) for v in il.hilbert_function_values(A, degrees)]}
 
 
@@ -554,13 +532,13 @@ def _ideal_hilbert_function(p):
 
 @_command("divisor class-group")
 def _divisor_class_group(p):
-    presentation, _ = dv.class_group(read_payload_fan(p))
+    presentation, _ = dv.class_group(field(p, "fan", read_fan))
     return w_group(presentation)
 
 
 @_command("divisor picard-group")
 def _divisor_picard_group(p):
-    return w_group(dv.picard_group(read_payload_fan(p)))
+    return w_group(dv.picard_group(field(p, "fan", read_fan)))
 
 
 @_command("divisor is-cartier")
@@ -585,7 +563,7 @@ def _divisor_sections(p):
 @_command("divisor from-polytope")
 def _divisor_from_polytope(p):
     P = read_polytope(p, _P)
-    F = read_payload_fan(p)
+    F = field(p, "fan", read_fan)
     return {"coeffs": w_vec(dv.polytope_divisor(P, F).coeffs)}
 
 
@@ -601,10 +579,7 @@ def _divisor_polyhedron(p):
 @_command("divisor lin-equiv")
 def _divisor_lin_equiv(p):
     D = read_payload_divisor(p)
-    other = read_vector(_get(p, "other", _P), f"{_P}/other")
-    if len(other) != len(D.fan.rays):
-        raise SchemaError(f"expected {len(D.fan.rays)} coefficients, "
-                          "one per ray", f"{_P}/other")
+    other = field(p, "other", read_vector, len(D.fan.rays), "ray")
     m = dv.linearly_equivalent(D, dv.divisor(D.fan, other))
     return {"equivalent": m is not None,
             "character": None if m is None else w_vec(m)}
@@ -614,7 +589,7 @@ def _divisor_lin_equiv(p):
 
 @_command("cox data")
 def _cox_data(p):
-    data = cx.cox_data(read_payload_fan(p))
+    data = cx.cox_data(field(p, "fan", read_fan))
     return {"class_group": w_group(data.group),
             "weights": [w_vec(w.coords) for w in data.g_weights],
             "irrelevant": [il.format_polynomial(g)
@@ -625,39 +600,36 @@ def _cox_data(p):
 
 @_command("cox irrelevant")
 def _cox_irrelevant(p):
-    gens = cx.irrelevant_ideal(read_payload_fan(p))
+    gens = cx.irrelevant_ideal(field(p, "fan", read_fan))
     return {"generators": [il.format_polynomial(g) for g in gens]}
 
 
 @_command("cox primitive-collections")
 def _cox_primitive_collections(p):
-    collections = cx.primitive_collections(read_payload_fan(p))
+    collections = cx.primitive_collections(field(p, "fan", read_fan))
     return {"collections": [w_indices(I) for I in collections]}
 
 
 @_command("cox degree")
 def _cox_degree(p):
-    F = read_payload_fan(p)
-    exponents = read_vector(_get(p, "exponents", _P), f"{_P}/exponents")
-    if len(exponents) != len(F.rays):
-        raise SchemaError(f"expected {len(F.rays)} exponents, one per ray",
-                          f"{_P}/exponents")
+    F = field(p, "fan", read_fan)
+    exponents = field(p, "exponents", read_vector, len(F.rays), "ray")
     return {"class": w_vec(cx.degree(F, exponents).coords)}
 
 
 @_command("cox homogenize")
 def _cox_homogenize(p):
     D = read_payload_divisor(p)
-    f = read_laurent(_get(p, "laurent", _P), f"{_P}/laurent")
+    f = field(p, "laurent", read_laurent)
     return w_poly(cx.homogenize(f, D))
 
 
 @_command("cox dehomogenize")
 def _cox_dehomogenize(p):
     D = read_payload_divisor(p)
-    g = read_sparse(_get(p, "polynomial", _P), f"{_P}/polynomial")
-    k = read_index(_get(p, "cone_index", _P), f"{_P}/cone_index",
-                   len(D.fan.maximal_cones), "maximal cone")
+    g = field(p, "polynomial", read_sparse)
+    k = field(p, "cone_index", read_index, len(D.fan.maximal_cones),
+              "maximal cone")
     return w_poly(cx.dehomogenize(g, D, k))
 
 
@@ -665,7 +637,7 @@ def _cox_dehomogenize(p):
 
 @_command("count kushnirenko")
 def _count_kushnirenko(p):
-    A = read_matrix(_get(p, "matrix", _P), f"{_P}/matrix")
+    A = field(p, "matrix", read_matrix)
     degree, volume, index = ct.kushnirenko_count(A)
     return {"degree": w_int(degree),
             "normalized_volume": w_int(volume),
@@ -674,17 +646,12 @@ def _count_kushnirenko(p):
 
 @_command("count bezout")
 def _count_bezout(p):
-    degrees = read_vector(_get(p, "degrees", _P), f"{_P}/degrees")
-    return {"value": w_int(ct.bezout_count(degrees))}
+    return {"value": w_int(ct.bezout_count(field(p, "degrees", read_vector)))}
 
 
 @_command("count bkk")
 def _count_bkk(p):
-    node = _get(p, "system", _P)
-    if not isinstance(node, list):
-        raise SchemaError("expected an array of Laurent polynomials",
-                          f"{_P}/system")
-    system = [read_laurent(f, f"{_P}/system/{i}") for i, f in enumerate(node)]
+    system = field(p, "system", read_array, read_laurent, "Laurent polynomials")
     report = ct.bkk_count(system)
     unmixed = report.kushnirenko
     return {"bkk": w_int(report.bkk),
@@ -711,15 +678,18 @@ def _run(words):
                           "request file", "/command")
     if len(words) == 3:
         try:
-            with open(words[2], "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(words[2], "rb") as handle:
+                data = handle.read()
         except OSError as e:
             raise SchemaError(f"cannot read request file: {e}", "") from None
     else:
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     try:
-        request = json.loads(text)
-    except json.JSONDecodeError as e:
+        # bytes that are not UTF-8, nesting past the parser's recursion
+        # limit and number literals past int()'s digit limit all leave the
+        # request unreadable: not a domain error, nor a bug
+        request = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"request is not valid JSON: {e}", "") from None
     if not isinstance(request, dict):
         raise SchemaError("request must be a JSON object", "")

@@ -6,6 +6,7 @@ of the fixtures corpus that must stay byte-identical to the stored
 goldens.
 """
 
+import copy
 import io
 import json
 import sys
@@ -37,16 +38,40 @@ BINOMIAL = {"terms": [{"exp": [1, 1, 0], "coeff": "1"},
                       {"exp": [0, 0, 2], "coeff": "-1"}]}
 
 
+def byte_stdin(data):
+    """A text stream over bytes, as sys.stdin is: the CLI reads its .buffer."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def run(capsys, argv, stdin_text=None):
-    """Run the CLI with the given argv, optionally feeding stdin."""
+    """Run the CLI with the given argv, optionally feeding stdin (text or
+    bytes)."""
     old = sys.stdin
     if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
+        sys.stdin = byte_stdin(stdin_text)
     try:
         code = cli.main(argv)
     finally:
         sys.stdin = old
     return code, capsys.readouterr().out
+
+
+# Requests that cannot be read at all, as bytes: each is a schema error
+# with path "", whether it comes from a file or from standard input.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+UNREADABLE = [
+    pytest.param(b'{"schema":1,"payload":{"degrees":[2]},"x":"\xff"}',
+                 id="not-utf-8"),
+    pytest.param(b'{"schema":1,"payload":{"degrees":' + b"[" * 100_000
+                 + b"]" * 100_000 + b"}}", id="nested-too-deeply"),
+    pytest.param(b'{"schema":1,"payload":{"degrees":['
+                 + b"9" * (INT_DIGIT_LIMIT + 700) + b"]}}",
+                 id="number-past-the-digit-limit",
+                 marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                          reason="no int digit limit")),
+]
 
 
 def call(capsys, command, payload, expect=0):
@@ -194,6 +219,34 @@ class TestEnvelope:
         assert code == 0
         assert json.loads(out)["value"] == "15"
 
+    @staticmethod
+    def bezout(capsys, tmp_path, source, data):
+        """count bezout on request bytes, from a file or from stdin."""
+        if source == "stdin":
+            return run(capsys, ["count", "bezout"], data)
+        path = tmp_path / "request.json"
+        path.write_bytes(data)
+        return run(capsys, ["count", "bezout", str(path)])
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_utf8_request(self, capsys, tmp_path, source):
+        data = json.dumps({"schema": 1, "payload": {"degrees": [3]},
+                           "note": "\u00e9\u2202"},
+                          ensure_ascii=False).encode("utf-8")
+        code, out = self.bezout(capsys, tmp_path, source, data)
+        assert code == 0
+        assert json.loads(out)["value"] == "3"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("data", UNREADABLE)
+    def test_unreadable_request_is_a_schema_error(self, capsys, tmp_path,
+                                                  data, source):
+        code, out = self.bezout(capsys, tmp_path, source, data)
+        assert code == 2, out
+        doc = json.loads(out)
+        assert doc["path"] == ""
+        assert "not valid JSON" in doc["error"]
+
 
 class TestOutputFormat:
     def test_compact_output_is_sorted_and_separator_free(self, capsys):
@@ -311,13 +364,15 @@ class TestSchemaErrors:
         doc = schema_error(capsys, "divisor sections",
                            {"fan": P2, "coeffs": [1, 2]})
         assert doc["path"] == "/payload/coeffs"
+        assert doc["error"] == "expected 3 integers, one per ray"
 
     def test_inconsistent_exponent_lengths(self, capsys):
         doc = schema_error(capsys, "ideal member",
                            {"f": {"terms": [{"exp": [1, 0], "coeff": "1"},
                                             {"exp": [1], "coeff": "1"}]},
                             "generators": []})
-        assert doc["path"].startswith("/payload/f")
+        assert doc["path"] == "/payload/f/terms/1/exp"
+        assert doc["error"] == "expected 2 integers, one per variable"
 
     def test_variable_count_cannot_be_inferred(self, capsys):
         doc = schema_error(capsys, "ideal member",
@@ -370,10 +425,86 @@ class TestSchemaErrors:
         doc = schema_error(capsys, "fan limit-cone",
                            {"fan": P2, "point": [1, 2, 3]})
         assert doc["path"] == "/payload/point"
+        assert doc["error"] == "expected 2 integers, one per coordinate"
 
     def test_missing_payload_key_names_the_key(self, capsys):
         doc = schema_error(capsys, "polytope volume", {})
         assert doc["path"] == "/payload/points"
+
+    @pytest.mark.parametrize("command, payload, path, error", [
+        ("divisor lin-equiv", {"fan": P2, "coeffs": [1, 0, 0], "other": [2]},
+         "/payload/other", "expected 3 integers, one per ray"),
+        ("count bkk", {"system": [{"terms": [{"exp": [1], "coeff": "1"}],
+                                   "nvars": 2}]},
+         "/payload/system/0/terms/0/exp",
+         "expected 2 integers, one per variable"),
+    ])
+    def test_vector_lengths(self, capsys, command, payload, path, error):
+        doc = schema_error(capsys, command, payload)
+        assert (doc["path"], doc["error"]) == (path, error)
+
+    @pytest.mark.parametrize("command, payload, path", [
+        ("fan star-quotient", {"fan": P1P1, "cone": 1}, "/payload/cone"),
+        ("fan validate", {"fan": {"rays": [[1]], "max_cones": [[1], 1]}},
+         "/payload/fan/max_cones/1"),
+    ])
+    def test_ray_index_lists(self, capsys, command, payload, path):
+        doc = schema_error(capsys, command, payload)
+        assert doc["path"] == path
+        assert doc["error"] == "expected an array of 1-based ray indices"
+
+    def test_generators_use_the_variables_of_f(self, capsys):
+        doc = schema_error(capsys, "ideal member",
+                           {"f": BINOMIAL,
+                            "generators": [BINOMIAL,
+                                           {"terms": [], "nvars": 2}]})
+        assert doc["path"] == "/payload/generators/1"
+
+
+def payload_nodes(node, pointer="/payload"):
+    """(pointer, node) for a payload and every node below it."""
+    yield pointer, node
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from payload_nodes(child, f"{pointer}/{key}")
+
+
+def replaced(request, pointer, value):
+    """A copy of request with the node at a JSON pointer set to value."""
+    request = copy.deepcopy(request)
+    *keys, last = pointer.split("/")[1:]
+    parent = request
+    for key in keys:
+        parent = parent[int(key) if isinstance(parent, list) else key]
+    parent[int(last) if isinstance(parent, list) else last] = value
+    return request
+
+
+class TestEveryPayloadNode:
+    """In each fixture request, a payload leaf replaced by {} or an array
+    or object replaced by 7 is a schema error at that node's pointer."""
+
+    @pytest.mark.parametrize("request_path", REQUEST_FILES,
+                             ids=lambda p: p.stem)
+    def test_wrong_kind_is_reported_at_its_pointer(self, request_path,
+                                                   capsys):
+        request = json.loads(request_path.read_text(encoding="utf-8"))
+        words = request["command"].split()
+        wrong = []
+        for pointer, node in payload_nodes(request["payload"]):
+            bad = 7 if isinstance(node, (list, dict)) else {}
+            text = json.dumps(replaced(request, pointer, bad))
+            code, out = run(capsys, words, text)
+            if code != 2 or json.loads(out)["path"] != pointer:
+                wrong.append((pointer, code, out))
+        assert wrong == []
+
+    def test_node_count(self):
+        nodes = [node for p in REQUEST_FILES
+                 for _, node in payload_nodes(json.loads(p.read_text())["payload"])]
+        containers = sum(isinstance(n, (list, dict)) for n in nodes)
+        assert (len(nodes) - containers, containers) == (686, 463)
 
 
 class TestDomainErrors:
@@ -417,7 +548,7 @@ class TestDomainErrors:
             raise error
         monkeypatch.setitem(cli._HANDLERS, "polytope volume", handler)
         request = json.dumps({"schema": 1, "payload": {}})
-        monkeypatch.setattr(sys, "stdin", io.StringIO(request))
+        monkeypatch.setattr(sys, "stdin", byte_stdin(request))
         code = cli.main(["polytope", "volume"])
         captured = capsys.readouterr()
         assert code == 3
@@ -643,6 +774,7 @@ class TestCoxCommands:
         doc = schema_error(capsys, "cox degree",
                            {"fan": HIRZ2, "exponents": [1, 0]})
         assert doc["path"] == "/payload/exponents"
+        assert doc["error"] == "expected 4 integers, one per ray"
 
 
 def ints(m):
