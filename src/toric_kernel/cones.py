@@ -332,21 +332,16 @@ def is_face_of(tau: Cone, sigma: Cone) -> bool:
 
 
 class HilbertBasis:
-    """Irreducible generators of the semigroup of a pointed cone."""
+    """Irreducible generators of the semigroup of a pointed cone in
+    Z^ambient, as a sorted list of vectors."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("vectors",)
 
     def __init__(self, vectors, ambient):
-        vecs = sorted(tuple(v) for v in vectors)
-        self.elements = zl.from_columns([list(v) for v in vecs], rows=ambient)
-
-    @property
-    def vectors(self):
-        return zl.columns(self.elements)
+        self.vectors = sorted(list(v) for v in vectors)
 
     def __len__(self):
-        _, c = zl.shape(self.elements)
-        return c
+        return len(self.vectors)
 
     def __repr__(self):
         return f"HilbertBasis({[tuple(v) for v in self.vectors]})"

@@ -228,19 +228,8 @@ def picard_group(F):
             row[k + n * s:k + n * (s + 1)] = F.rays[i]
             W.append(row)
     gens = zl.kernel_basis(W)[:k] if W else zl.identity(k)
-    H, _ = zl.hnf(gens)
-    basis_cols = [c for c in zl.columns(H) if any(c)]
-    if not basis_cols:
-        return zl.AbelianGroupPresentation(0)
-    B = zl.from_columns(basis_cols, rows=k)
-    # B is H less its zero columns, so it is a column HNF already
-    solve = zl._hnf_solver(B, zl.identity(len(basis_cols)))
-    coords = []
-    for c in zl.columns(_ray_matrix(F)):
-        x = zl._integral(solve(c))
-        assert x is not None, "principal divisors must be Cartier"
-        coords.append(x)
-    X = zl.from_columns(coords, rows=len(basis_cols))
+    X = zl._sublattice_coords(_ray_matrix(F), gens)
+    assert X is not None, "principal divisors must be Cartier"
     return zl.cokernel(X)[0]
 
 

@@ -31,8 +31,7 @@ class LatticePolytope:
     has no facets, only equations.
     """
 
-    __slots__ = ("cone", "ambient_dim", "vertices", "facets", "equations", "dim",
-                 "_points")
+    __slots__ = ("cone", "ambient_dim", "vertices", "facets", "equations", "dim")
 
     def __init__(self, C):
         self.cone = C
@@ -42,7 +41,6 @@ class LatticePolytope:
         # for dim >= 1 the facets of the cone are the cones over those of P
         self.facets = sorted((m[:-1], m[-1]) for m in C.dual_rays) if self.dim > 0 else []
         self.equations = sorted((b[:-1], b[-1]) for b in C.dual_lineality)
-        self._points = None
 
     @property
     def is_full_dim(self):
@@ -223,13 +221,11 @@ def lattice_points(P: LatticePolytope):
     does, so the cost is the number of points plus the prefixes that
     dead-end on an integer gap.
     """
-    if P._points is None:
-        Q, (x0, L) = project_full(P)
-        pts = _level_points(_projection_levels(Q.cone), 1)
-        if Q is not P:
-            pts = sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in pts)
-        P._points = pts
-    return [list(p) for p in P._points]
+    Q, (x0, L) = project_full(P)
+    pts = _level_points(_projection_levels(Q.cone), 1)
+    if Q is P:
+        return pts
+    return sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in pts)
 
 
 def volume(P: LatticePolytope) -> Fraction:

@@ -49,6 +49,9 @@ def transpose(M: Matrix) -> Matrix:
     return [[M[i][j] for i in range(rows)] for j in range(cols)]
 
 
+columns = transpose   # the columns of M are the rows of its transpose
+
+
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     ra, ca = shape(A)
     rb, cb = shape(B)
@@ -63,11 +66,6 @@ def mat_vec(A: Matrix, v: list) -> list:
     if len(v) != cols:
         raise ValueError("dimension mismatch")
     return [sum(map(mul, row, v)) for row in A]
-
-
-def columns(M: Matrix) -> list:
-    rows, cols = shape(M)
-    return [[M[i][j] for i in range(rows)] for j in range(cols)]
 
 
 def from_columns(cols_list: list, rows: int | None = None) -> Matrix:
@@ -411,6 +409,19 @@ def solve_integer(M: Matrix, b: list):
     return _integral(_hnf_solver(*hnf(M))(b))
 
 
+def _sublattice_coords(Msub: Matrix, Msup: Matrix):
+    """Coordinates of the columns of Msub in the basis of the column
+    lattice of Msup formed by the nonzero columns of its column HNF, as
+    the columns of a (rank Msup) x (columns of Msub) matrix, or None
+    when some column of Msub falls outside that lattice."""
+    Hs, _ = hnf(Msup)
+    r = len(hnf_pivots(Hs))
+    # the leading columns of Hs are already a column HNF
+    solve = _hnf_solver([row[:r] for row in Hs], identity(r))
+    coords = [_integral(solve(col)) for col in columns(Msub)]
+    return None if None in coords else from_columns(coords, rows=r)
+
+
 def lattice_index(Msub: Matrix, Msup: Matrix):
     """Index of the column lattice of Msub inside the one of Msup.
 
@@ -422,20 +433,12 @@ def lattice_index(Msub: Matrix, Msup: Matrix):
     rows_sup, _ = shape(Msup)
     if rows_sub != rows_sup:
         raise ValueError("ambient dimensions differ")
-    Hs, _ = hnf(Msup)
-    rank_sup = len(hnf_pivots(Hs))
-    # the leading columns of Hs are already a column HNF
-    solve = _hnf_solver([row[:rank_sup] for row in Hs], identity(rank_sup))
-    coords = []
-    for col in columns(Msub):
-        y = _integral(solve(col))
-        if y is None:
-            raise ValueError("column of Msub lies outside the superlattice")
-        coords.append(y)
-    C = from_columns(coords, rows=rank_sup)
+    C = _sublattice_coords(Msub, Msup)
+    if C is None:
+        raise ValueError("column of Msub lies outside the superlattice")
     Hc, _ = hnf(C)
     pivots = hnf_pivots(Hc)
-    if len(pivots) < rank_sup:
+    if len(pivots) < len(C):
         return math.inf
     index = 1
     for i, j in pivots:
@@ -613,27 +616,17 @@ class RationalPolynomial:
 def interpolate(points) -> RationalPolynomial:
     """The unique polynomial of degree < len(points) through the points.
 
-    Each point is (x, y) with integer x and rational y. Raises ValueError
-    on duplicate abscissae.
+    Each point is (x, y) with integer x and rational y. The coefficients
+    solve the Vandermonde system of the abscissae, with the values
+    scaled to integers, on the HNF solver. Raises ValueError on a
+    non-integer or duplicate abscissa.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
+    if any(x.denominator != 1 for x, _ in pts):
+        raise ValueError("abscissae must be integers")
+    if len({x for x, _ in pts}) != len(pts):
         raise ValueError("duplicate abscissae")
-    n = len(pts)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(pts):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            # multiply the running numerator by (x - xj)
-            num = [0] + num
-            for d in range(len(num) - 1):
-                num[d] -= xj * num[d + 1]
-            denom *= xi - xj
-        w = yi / denom
-        for d, c in enumerate(num):
-            coeffs[d] += w * c
-    return RationalPolynomial(coeffs)
+    den = math.lcm(*(y.denominator for _, y in pts))
+    V = [[x.numerator ** d for d in range(len(pts))] for x, _ in pts]
+    c = solve_rational(V, [y.numerator * (den // y.denominator) for _, y in pts])
+    return RationalPolynomial(v / den for v in c)

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import heapq
+import math
 import operator
 import signal
 import threading
@@ -271,6 +272,73 @@ def gauss_jordan_solve(M: Matrix, b: list):
     for i, c in enumerate(piv_cols):
         x[c] = A[i][cols]
     return x
+
+
+# ---------------------------------------------------------------------------
+# ``zl.interpolate`` and ``zl.lattice_index`` as the library ran them before
+# interpolation became one Vandermonde solve and the index read its
+# coordinates from the step it shares with ``divisors.picard_group``: the
+# oracles of both, unchanged apart from their names and the ``zl.`` prefixes
+
+def lagrange_interpolate(points) -> zl.RationalPolynomial:
+    """The unique polynomial of degree < len(points) through the points.
+
+    Each point is (x, y) with integer x and rational y. Raises ValueError
+    on duplicate abscissae.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    xs = [x for x, _ in pts]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate abscissae")
+    n = len(pts)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(pts):
+        num = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(pts):
+            if j == i:
+                continue
+            # multiply the running numerator by (x - xj)
+            num = [0] + num
+            for d in range(len(num) - 1):
+                num[d] -= xj * num[d + 1]
+            denom *= xi - xj
+        w = yi / denom
+        for d, c in enumerate(num):
+            coeffs[d] += w * c
+    return zl.RationalPolynomial(coeffs)
+
+
+def old_lattice_index(Msub: Matrix, Msup: Matrix):
+    """Index of the column lattice of Msub inside the one of Msup.
+
+    Returns a positive integer, or math.inf (used purely as a sentinel)
+    when the sublattice has strictly smaller rank. Raises ValueError if
+    some column of Msub falls outside the superlattice.
+    """
+    rows_sub, _ = shape(Msub)
+    rows_sup, _ = shape(Msup)
+    if rows_sub != rows_sup:
+        raise ValueError("ambient dimensions differ")
+    Hs, _ = zl.hnf(Msup)
+    rank_sup = len(zl.hnf_pivots(Hs))
+    # the leading columns of Hs are already a column HNF
+    solve = zl._hnf_solver([row[:rank_sup] for row in Hs], identity(rank_sup))
+    coords = []
+    for col in zl.columns(Msub):
+        y = zl._integral(solve(col))
+        if y is None:
+            raise ValueError("column of Msub lies outside the superlattice")
+        coords.append(y)
+    C = zl.from_columns(coords, rows=rank_sup)
+    Hc, _ = zl.hnf(C)
+    pivots = zl.hnf_pivots(Hc)
+    if len(pivots) < rank_sup:
+        return math.inf
+    index = 1
+    for i, j in pivots:
+        index *= Hc[i][j]
+    return index
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import (pivot_snf, quotient_map, snf_kernel, span_lattice_basis,
-                      spy_hnf, within)
+from conftest import (lagrange_interpolate, old_lattice_index, pivot_snf,
+                      quotient_map, snf_kernel, span_lattice_basis, spy_hnf,
+                      within)
 from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
@@ -362,6 +363,30 @@ class TestLatticeIndex:
             assert len(calls) == 2
             checked += 1
 
+    def test_matches_old_lattice_index(self):
+        # Msub = Msup X lies inside, a random Msub mostly not; a rank-
+        # deficient Msup or X gives math.inf whenever Msub is inside
+        rng = random.Random(20261019)
+        outcomes = {"finite": 0, "inf": 0, "outside": 0}
+        for _ in range(300):
+            n, m, k = rng.randint(1, 4), rng.randint(0, 5), rng.randint(0, 5)
+            Msup = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+            if rng.random() < 0.5:
+                X = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+                Msub = zl.mat_mul(Msup, X) if m else [[0] * k for _ in range(n)]
+            else:
+                Msub = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            try:
+                expected = old_lattice_index(Msub, Msup)
+            except ValueError:
+                with pytest.raises(ValueError, match="outside the superlattice"):
+                    zl.lattice_index(Msub, Msup)
+                outcomes["outside"] += 1
+                continue
+            assert zl.lattice_index(Msub, Msup) == expected, (Msub, Msup)
+            outcomes["inf" if expected == math.inf else "finite"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+
 
 class TestAffineGens:
     def test_single_point(self):
@@ -396,6 +421,30 @@ class TestInterpolate:
     def test_duplicate_raises(self):
         with pytest.raises(ValueError):
             zl.interpolate([(1, 1), (1, 2)])
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), 1.5, Fraction(-7, 3)])
+    def test_non_integer_abscissa_raises(self, x):
+        # an abscissa is never truncated to an integer
+        with pytest.raises(ValueError, match="integers"):
+            zl.interpolate([(0, 1), (x, 2)])
+
+    def test_integral_fraction_abscissa(self):
+        p = zl.interpolate([(Fraction(4, 2), 3), (0.0, 1)])
+        assert p.coeffs == (Fraction(1), Fraction(1))
+
+    def test_matches_lagrange(self):
+        # 0 to 9 nodes drawn unsorted from [-12, 12], rational values
+        rng = random.Random(20261019)
+        unsorted = negative = 0
+        for n in range(10):
+            for _ in range(25):
+                xs = rng.sample(range(-12, 13), n)
+                pts = [(x, Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+                       for x in xs]
+                assert zl.interpolate(pts) == lagrange_interpolate(pts), pts
+                unsorted += xs != sorted(xs)
+                negative += min(xs, default=0) < 0
+        assert unsorted >= 150 and negative >= 150
 
     @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-50, 50)),
                     min_size=1, max_size=6, unique_by=lambda t: t[0]))
