@@ -117,8 +117,6 @@ def halfspace_generators(constraints, n):
     in input order with the zero constraints left out.
     """
     cons = [list(u) for u in constraints if any(u)]
-    if not cons:
-        return zl.columns(zl.identity(n)), [], []
     indep = _independent_rows(cons, n)
     if len(indep) == n:
         lin, pairs = [], _dual_rays_with_zero_sets(cons, n, indep)
@@ -321,14 +319,14 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
 
 
 def is_face_of(tau: Cone, sigma: Cone) -> bool:
-    """Whether tau is a face of sigma."""
+    """Whether tau is a face of sigma: whether it holds the face cut out
+    by the dual rays tight on it, the smallest face containing it."""
     if not sigma.contains_cone(tau):
         return False
     cut = reduce(and_, (Z for m, Z in zip(sigma.dual_rays, sigma.zero_sets)
                         if all(zl.dot(m, g) == 0 for g in tau.generators)),
                  (1 << len(sigma.generators)) - 1)
-    gens = [g for i, g in enumerate(sigma.generators) if cut >> i & 1]
-    return cone(gens, sigma.ambient_dim) == tau
+    return all(tau.contains(g) for i, g in enumerate(sigma.generators) if cut >> i & 1)
 
 
 class HilbertBasis:
@@ -337,7 +335,7 @@ class HilbertBasis:
 
     __slots__ = ("vectors",)
 
-    def __init__(self, vectors, ambient):
+    def __init__(self, vectors):
         self.vectors = sorted(list(v) for v in vectors)
 
     def __len__(self):
@@ -450,12 +448,12 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
     n = sigma.ambient_dim
     d = sigma.dim
     if d == 0:
-        return HilbertBasis([], n)
+        return HilbertBasis([])
     R = sigma.rays()
     if d < n:
         coords, B, _, _ = zl.lattice_split(sigma.generators, n)
         inner = hilbert_basis(cone([zl.mat_vec(coords, r) for r in R], d))
-        return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
+        return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors])
     normals = sigma.facet_normals
     gens = sigma.generators
     candidates = {tuple(r) for r in R}
@@ -473,7 +471,7 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
         if not _reducible(g, v, kept):
             kept.append((g, v))
             basis.append(c)
-    return HilbertBasis(basis, n)
+    return HilbertBasis(basis)
 
 
 def semigroup_member(gens, target):
@@ -496,8 +494,6 @@ def semigroup_member(gens, target):
         raise ValueError("generators span a non-pointed cone; search unbounded")
     w = reduce(zl.vadd, span.facet_normals)
     weights = [zl.dot(w, g) for _, g in nonzero]
-    if any(x <= 0 for x in weights):
-        raise ValueError("generators span a non-pointed cone; search unbounded")
     if not span.contains(target):
         return None
 

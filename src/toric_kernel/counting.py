@@ -103,9 +103,9 @@ def bkk_count(system) -> CountReport:
 
     The Minkowski sum of the Newton polytopes must be full-dimensional;
     a degenerate system is reported as an error. Each Newton polytope
-    is a Minkowski summand of the sum, so it is cut out on the normal
-    fan by a divisor E_i with coefficients -min <u, m>, and the system
-    homogenizes term by term to the classes [E_i].
+    is a Minkowski summand of the sum, cut out on the normal fan by its
+    ``divisors.polytope_divisor`` E_i, with coefficients -min <u, m>, and
+    the system homogenizes term by term to the classes [E_i].
     """
     fs = list(system)
     if not fs:
@@ -127,10 +127,7 @@ def bkk_count(system) -> CountReport:
                          "lower-dimensional")
 
     F = fn.normal_fan(total)
-    divisors = []
-    for s in supports:
-        a = [-min(zl.dot(list(u), list(m)) for m in s) for u in F.rays]
-        divisors.append(dv.divisor(F, a))
+    divisors = [dv.polytope_divisor(Q, F) for Q in newtons]
     homogenized = [cx.homogenize(f, E) for f, E in zip(fs, divisors)]
 
     kushnirenko = None

@@ -166,15 +166,19 @@ def is_simplicial(F: Fan) -> bool:
     return all(c.is_simplicial for c in F._max_objs)
 
 
+def _facets(rays, I, c):
+    """Rays of each facet of the cone c on the rays I: bit j of a zero set is ray I[j]."""
+    return [[rays[i] for j, i in enumerate(I) if Z >> j & 1] for Z in c.zero_sets]
+
+
 def is_complete(F: Fan) -> bool:
     """Exact combinatorial completeness test: the fan is pure of top
     dimension and every ridge lies in exactly two maximal cones."""
     n = F.ambient_dim
     if any(c.dim < n for c in F._max_objs):
         return False
-    ridges = [f for f in F.all_cones().values() if f.dim == n - 1]
-    return all(sum(1 for c in F._max_objs if c.contains_cone(f)) == 2
-               for f in ridges)
+    return all(sum(all(map(c.contains, f)) for c in F._max_objs) == 2
+               for I, m in zip(F.maximal_cones, F._max_objs) for f in _facets(F.rays, I, m))
 
 
 def star_subdivision(F: Fan, index: int) -> Fan:
@@ -325,19 +329,17 @@ def is_refinement(Fprime: Fan, F: Fan) -> bool:
         if not any(c.contains_cone(cp) for c in F._max_objs):
             return False
     for c in F._max_objs:
-        members = [m for m in Fprime._max_objs
+        members = [(I, m) for I, m in zip(Fprime.maximal_cones, Fprime._max_objs)
                    if m.dim == c.dim and c.contains_cone(m)]
         if not members:
             return False
-        for m in members:
-            for f in m.faces():
-                if f.dim != m.dim - 1:
-                    continue
+        for I, m in members:
+            for f in _facets(Fprime.rays, I, m):
                 x = [0] * F.ambient_dim
-                for r in f.rays():
+                for r in f:
                     x = zl.vadd(x, r)
                 expected = 2 if c.contains_in_relint(x) else 1
-                if sum(1 for m2 in members if m2.contains_cone(f)) != expected:
+                if sum(all(map(m2.contains, f)) for _, m2 in members) != expected:
                     return False
     return True
 

@@ -727,8 +727,6 @@ def toric_ideal(A: zl.Matrix):
         raise ValueError("the configuration must contain at least one point")
     K = zl.kernel_basis(A)
     cols = zl.columns(K)
-    if not cols:
-        return []
     pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in cols]
     weights = _positive_grading(A)
     if weights is None:

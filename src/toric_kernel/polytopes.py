@@ -228,20 +228,20 @@ def lattice_points(P: LatticePolytope):
     return sorted(zl.vadd(x0, zl.mat_vec(L, y)) for y in pts)
 
 
-def volume(P: LatticePolytope) -> Fraction:
-    """Exact Euclidean volume; zero when P is not full-dimensional.
+def _det_total(C) -> int:
+    """n! times the volume of P for C = P.cone full-dimensional: the
+    simplices of the pulling triangulation of C are cones over simplices
+    of P, and |det| of their generators is n! times the simplex volume."""
+    return sum(abs(zl.det([C.generators[i] for i in s]))
+               for s in cn.pulling_triangulation(C.zero_sets, C._ray_mask(), C.dim))
 
-    The simplices of the pulling triangulation of P.cone are cones over
-    simplices of P, and |det| of their homogenized generators is n! times
-    the volume of the simplex."""
+
+def volume(P: LatticePolytope) -> Fraction:
+    """Exact Euclidean volume; zero when P is not full-dimensional."""
     n = P.ambient_dim
     if P.dim < n:
         return Fraction(0)
-    C = P.cone
-    gens = C.generators
-    total = sum(abs(zl.det([gens[i] for i in s]))
-                for s in cn.pulling_triangulation(C.zero_sets, C._ray_mask(), n + 1))
-    return Fraction(total, factorial(n))
+    return Fraction(_det_total(P.cone), factorial(n))
 
 
 def project_full(P: LatticePolytope):
@@ -267,12 +267,7 @@ def project_full(P: LatticePolytope):
 def normalized_volume(P: LatticePolytope) -> int:
     """dim! times the volume measured in the saturated span lattice."""
     Q, _ = project_full(P)
-    if Q.dim == 0:
-        return 1
-    v = volume(Q) * factorial(Q.dim)
-    if v.denominator != 1:
-        raise AssertionError("normalized volume of a lattice polytope must be integral")
-    return int(v)
+    return _det_total(Q.cone) if Q.dim else 1
 
 
 def _liftings(m):
@@ -406,22 +401,22 @@ def is_normal(P: LatticePolytope) -> bool:
     """Whether (kP cap M) + (lP cap M) = ((k+l)P) cap M for all k, l >= 1,
     M the saturated lattice of P's affine span.
 
-    The lattice points at height k of the cone over Q x {1}, Q from
-    project_full, are those of kQ, so P is normal exactly when every
-    element of that cone's Hilbert basis has height 1 (Cox-Little-Schenck,
-    Toric Varieties, 2011, section 2.2; Bruns-Gubeladze, Polytopes, Rings,
-    and K-Theory, 2009, ch. 2). The cost follows the normalized volume.
+    The lattice points at height k of P.cone, in the saturated lattice of
+    its span where ``hilbert_basis`` works, are those of kP, so P is normal
+    exactly when every element of that Hilbert basis has height 1 (Cox-
+    Little-Schenck, Toric Varieties, 2011, section 2.2; Bruns-Gubeladze,
+    Polytopes, Rings, and K-Theory, 2009, ch. 2). The cost follows the
+    normalized volume.
     """
-    Q, _ = project_full(P)
-    return all(h[-1] == 1 for h in cn.hilbert_basis(Q.cone).vectors)
+    return all(h[-1] == 1 for h in cn.hilbert_basis(P.cone).vectors)
 
 
-def _tangent_cones(Q: LatticePolytope):
-    """Pairs (v, cone(Q - v)) over the vertices v of Q: the tangent cone
+def _tangent_cones(P: LatticePolytope):
+    """Pairs (v, cone(P - v)) over the vertices v of P: the tangent cone
     at v is generated by the other vertices minus v."""
-    for v in Q.vertices:
-        yield v, cn.cone([zl.vsub(w, v) for w in Q.vertices if w != v],
-                         Q.ambient_dim)
+    for v in P.vertices:
+        yield v, cn.cone([zl.vsub(w, v) for w in P.vertices if w != v],
+                         P.ambient_dim)
 
 
 def is_very_ample(P: LatticePolytope) -> bool:
@@ -436,15 +431,14 @@ def is_very_ample(P: LatticePolytope) -> bool:
     vertex v (Cox-Little-Schenck, Toric Varieties, 2011, section 2.2;
     Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2).
     """
-    Q, _ = project_full(P)
-    return all(Q.contains(zl.vadd(v, h))
-               for v, tangent in _tangent_cones(Q)
+    return all(P.contains(zl.vadd(v, h))
+               for v, tangent in _tangent_cones(P)
                for h in cn.hilbert_basis(tangent).vectors)
 
 
 def is_smooth(P: LatticePolytope) -> bool:
-    """Smoothness of the normal fan: every vertex cone Cone(P - v) must
-    be smooth (those cones are the duals of the normal fan's maximal
-    cones, and a full-dimensional cone is smooth iff its dual is)."""
-    Q, _ = project_full(P)
-    return all(tangent.is_smooth for _, tangent in _tangent_cones(Q))
+    """Whether every tangent cone Cone(P - v) is smooth: its rays are a
+    basis of the saturated lattice of its span. For P full-dimensional
+    these cones are the duals of the normal fan's maximal cones, and a
+    full-dimensional cone is smooth iff its dual is."""
+    return all(tangent.is_smooth for _, tangent in _tangent_cones(P))

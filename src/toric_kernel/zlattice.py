@@ -3,9 +3,10 @@
 Matrices are plain lists of rows, each row a list of Python ints. A
 matrix with r rows and no columns is ``[[] for _ in range(r)]``; the
 0 x 0 matrix is ``[]``. Everything here is exact; no floating point is
-used for arithmetic anywhere in the package. The single appearance of
-``math.inf`` (in ``lattice_index``) is a sentinel for an infinite-index
-answer, never an operand.
+used for arithmetic anywhere in the package. ``math.inf``, returned by
+``lattice_index`` here and by ``divisors.min_cartier_multiple``, and
+compared against in ``cli``, is a sentinel for an infinite answer,
+never an operand.
 """
 
 from __future__ import annotations
@@ -274,12 +275,7 @@ class AbelianGroupPresentation:
 
     def order(self):
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return None if self.free_rank else math.prod(self.invariant_factors)
 
     def __eq__(self, other):
         return (isinstance(other, AbelianGroupPresentation)
@@ -456,9 +452,7 @@ def affine_lattice_gens(A: Matrix) -> Matrix:
 
 
 def rank(M: Matrix) -> int:
-    rows, cols = shape(M)
-    if not rows or not cols:
-        return 0
+    shape(M)    # a ragged matrix raises
     return len(RowEchelon(M))
 
 

@@ -8,6 +8,7 @@ import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -1039,3 +1040,103 @@ def adjugate_parallelepiped_points(S, d):
         if any(x):
             points.add(tuple(x))
     return points
+
+
+# ---------------------------------------------------------------------------
+# the rebuilt-cone and projected oracles of the face, volume and predicate
+# queries: ``all_cones_is_complete``, ``faces_is_refinement`` and
+# ``rebuilt_is_face_of`` are ``fans.is_complete``, ``fans.is_refinement`` and
+# ``cones.is_face_of`` as the library ran them before they read facets off
+# the zero sets, and ``fraction_volume``, ``fraction_normalized_volume``,
+# ``projected_is_normal``, ``projected_is_very_ample`` and
+# ``projected_is_smooth`` are the polytope queries from before they shared
+# one determinant total and read P's own cones, unchanged apart from their
+# names
+
+def all_cones_is_complete(F) -> bool:
+    """Exact combinatorial completeness test: the fan is pure of top
+    dimension and every ridge lies in exactly two maximal cones."""
+    n = F.ambient_dim
+    if any(c.dim < n for c in F._max_objs):
+        return False
+    ridges = [f for f in F.all_cones().values() if f.dim == n - 1]
+    return all(sum(1 for c in F._max_objs if c.contains_cone(f)) == 2
+               for f in ridges)
+
+
+def faces_is_refinement(Fprime, F) -> bool:
+    if Fprime.ambient_dim != F.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    for cp in Fprime._max_objs:
+        if not any(c.contains_cone(cp) for c in F._max_objs):
+            return False
+    for c in F._max_objs:
+        members = [m for m in Fprime._max_objs
+                   if m.dim == c.dim and c.contains_cone(m)]
+        if not members:
+            return False
+        for m in members:
+            for f in m.faces():
+                if f.dim != m.dim - 1:
+                    continue
+                x = [0] * F.ambient_dim
+                for r in f.rays():
+                    x = zl.vadd(x, r)
+                expected = 2 if c.contains_in_relint(x) else 1
+                if sum(1 for m2 in members if m2.contains_cone(f)) != expected:
+                    return False
+    return True
+
+
+def rebuilt_is_face_of(tau, sigma) -> bool:
+    if not sigma.contains_cone(tau):
+        return False
+    cut = reduce(operator.and_, (Z for m, Z in zip(sigma.dual_rays, sigma.zero_sets)
+                                 if all(zl.dot(m, g) == 0 for g in tau.generators)),
+                 (1 << len(sigma.generators)) - 1)
+    gens = [g for i, g in enumerate(sigma.generators) if cut >> i & 1]
+    return cn.cone(gens, sigma.ambient_dim) == tau
+
+
+def fraction_volume(P) -> Fraction:
+    n = P.ambient_dim
+    if P.dim < n:
+        return Fraction(0)
+    C = P.cone
+    gens = C.generators
+    total = sum(abs(zl.det([gens[i] for i in s]))
+                for s in cn.pulling_triangulation(C.zero_sets, C._ray_mask(), n + 1))
+    return Fraction(total, math.factorial(n))
+
+
+def fraction_normalized_volume(P) -> int:
+    Q, _ = pt.project_full(P)
+    if Q.dim == 0:
+        return 1
+    v = fraction_volume(Q) * math.factorial(Q.dim)
+    if v.denominator != 1:
+        raise AssertionError("normalized volume of a lattice polytope must be integral")
+    return int(v)
+
+
+def projected_is_normal(P) -> bool:
+    Q, _ = pt.project_full(P)
+    return all(h[-1] == 1 for h in cn.hilbert_basis(Q.cone).vectors)
+
+
+def projected_tangent_cones(Q):
+    for v in Q.vertices:
+        yield v, cn.cone([zl.vsub(w, v) for w in Q.vertices if w != v],
+                         Q.ambient_dim)
+
+
+def projected_is_very_ample(P) -> bool:
+    Q, _ = pt.project_full(P)
+    return all(Q.contains(zl.vadd(v, h))
+               for v, tangent in projected_tangent_cones(Q)
+               for h in cn.hilbert_basis(tangent).vectors)
+
+
+def projected_is_smooth(P) -> bool:
+    Q, _ = pt.project_full(P)
+    return all(tangent.is_smooth for _, tangent in projected_tangent_cones(Q))

@@ -57,14 +57,14 @@ def old_hilbert_basis(sigma):
     n = sigma.ambient_dim
     d = sigma.dim
     if d == 0:
-        return cn.HilbertBasis([], n)
+        return cn.HilbertBasis([])
     R = sigma.rays()
     if d < n:
         B = span_lattice_basis(sigma.generators, n)
         solve = zl.integer_solver(B)
         R_proj = [solve(r) for r in R]
         inner = old_hilbert_basis(cn.cone(R_proj, d))
-        return cn.HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors], n)
+        return cn.HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors])
     candidates = {tuple(r) for r in R}
     for S in combinations(R, d):
         M = zl.from_columns([list(v) for v in S], rows=d)
@@ -85,7 +85,7 @@ def old_hilbert_basis(sigma):
                 break
         if not reducible:
             kept.append(list(c))
-    return cn.HilbertBasis(kept, n)
+    return cn.HilbertBasis(kept)
 
 
 @st.composite
