@@ -275,6 +275,14 @@ class Cone:
         out.sort(key=lambda c: (c.dim, sorted(tuple(g) for g in c.generators)))
         return out
 
+    def smallest_face(self, vectors):
+        """Bitmask of the generators on the smallest face holding the
+        given vectors of the cone: the AND of the zero sets of the dual
+        rays tight on all of them."""
+        return reduce(and_, (Z for m, Z in zip(self.dual_rays, self.zero_sets)
+                             if all(zl.dot(m, v) == 0 for v in vectors)),
+                      (1 << len(self.generators)) - 1)
+
     def face_from_character(self, m):
         """sigma cut by the hyperplane of the character m in dual(sigma)."""
         if len(m) != self.ambient_dim:
@@ -323,9 +331,7 @@ def is_face_of(tau: Cone, sigma: Cone) -> bool:
     by the dual rays tight on it, the smallest face containing it."""
     if not sigma.contains_cone(tau):
         return False
-    cut = reduce(and_, (Z for m, Z in zip(sigma.dual_rays, sigma.zero_sets)
-                        if all(zl.dot(m, g) == 0 for g in tau.generators)),
-                 (1 << len(sigma.generators)) - 1)
+    cut = sigma.smallest_face(tau.generators)
     return all(tau.contains(g) for i, g in enumerate(sigma.generators) if cut >> i & 1)
 
 

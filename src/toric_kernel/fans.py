@@ -22,40 +22,34 @@ class Fan:
     theorem and go through _trusted_fan(), which checks nothing. The
     constructor here trusts its arguments."""
 
-    __slots__ = ("ambient_dim", "rays", "maximal_cones", "_max_objs", "_all")
+    __slots__ = ("ambient_dim", "rays", "maximal_cones", "_max_objs")
 
     def __init__(self, ambient_dim, rays, maximal_cones, max_objs):
         self.ambient_dim = ambient_dim
         self.rays = rays
         self.maximal_cones = maximal_cones
         self._max_objs = max_objs
-        self._all = None
 
     def max_cone(self, index) -> cn.Cone:
         if not 0 <= index < len(self._max_objs):
             raise zl.IndexOutOfRangeError("maximal cone index out of range")
         return self._max_objs[index]
 
-    def all_cones(self):
-        """Every cone of the fan, as a dict: ray-index tuple -> Cone.
-        Generator j of maximal cone I is ray I[j], which names the rays
-        of each face mask."""
-        if self._all is None:
-            out = {}
-            for I, c in zip(self.maximal_cones, self._max_objs):
-                for F in c.face_masks():
-                    ixs = tuple(i for j, i in enumerate(I) if F >> j & 1)
-                    if ixs not in out:
-                        out[ixs] = cn.cone([self.rays[i] for i in ixs], self.ambient_dim)
-            self._all = out
-        return self._all
+    def faces(self):
+        """Every cone of the fan, as a dict: ray-index tuple -> dimension
+        (the rank of its rays), read off the face masks of the maximal
+        cones with no Cone built."""
+        out = {}
+        for I, c in zip(self.maximal_cones, self._max_objs):
+            for Z in c.face_masks():
+                ixs = _ray_indices(I, Z)
+                if ixs not in out:
+                    out[ixs] = zl.rank([self.rays[i] for i in ixs]) if ixs else 0
+        return out
 
     def cone_of(self, indices) -> cn.Cone:
-        ixs = tuple(sorted(indices))
-        try:
-            return self.all_cones()[ixs]
-        except KeyError:
-            raise ValueError(f"ray indices {ixs} do not name a cone of the fan") from None
+        ixs = _named_cone(self, indices)
+        return cn.cone([self.rays[i] for i in ixs], self.ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Fan) or self.ambient_dim != other.ambient_dim:
@@ -166,9 +160,34 @@ def is_simplicial(F: Fan) -> bool:
     return all(c.is_simplicial for c in F._max_objs)
 
 
+def _ray_indices(I, Z):
+    """Ray indices of the face mask Z of the cone on the rays I: bit j is ray I[j]."""
+    return tuple(i for j, i in enumerate(I) if Z >> j & 1)
+
+
 def _facets(rays, I, c):
-    """Rays of each facet of the cone c on the rays I: bit j of a zero set is ray I[j]."""
-    return [[rays[i] for j, i in enumerate(I) if Z >> j & 1] for Z in c.zero_sets]
+    """Rays of each facet of the cone c on the rays I."""
+    return [[rays[i] for i in _ray_indices(I, Z)] for Z in c.zero_sets]
+
+
+def _smallest_cone(F: Fan, vectors):
+    """Ray-index tuple of the smallest cone of F holding the vectors, or
+    None when no cone does. Any maximal cone sigma that holds them gives
+    it: the smallest face of sigma holding them lies in every cone that
+    does, as a face of its intersection with sigma."""
+    for I, c in zip(F.maximal_cones, F._max_objs):
+        if all(map(c.contains, vectors)):
+            return _ray_indices(I, c.smallest_face(vectors))
+    return None
+
+
+def _named_cone(F: Fan, indices):
+    """The sorted ray indices, when they name a cone of F; else ValueError."""
+    ixs = tuple(sorted(indices))
+    in_range = all(0 <= i < len(F.rays) for i in ixs)
+    if not in_range or _smallest_cone(F, [F.rays[i] for i in ixs]) != ixs:
+        raise ValueError(f"ray indices {ixs} do not name a cone of the fan")
+    return ixs
 
 
 def is_complete(F: Fan) -> bool:
@@ -225,11 +244,9 @@ def product_fan(F1: Fan, F2: Fan) -> Fan:
 
 def cone_containing_relint(F: Fan, u):
     """Ray-index tuple of the unique cone whose relative interior
-    contains u, or None when u is outside the support."""
-    for ixs in sorted(F.all_cones(), key=lambda I: (len(I), I)):
-        if F.all_cones()[ixs].contains_in_relint(u):
-            return ixs
-    return None
+    contains u, the smallest cone holding u, or None when u is outside
+    the support."""
+    return _smallest_cone(F, [u])
 
 
 def star_quotient_fan(F: Fan, tau):
@@ -239,9 +256,7 @@ def star_quotient_fan(F: Fan, tau):
     Distinct maximal cones containing tau have distinct pointed images
     that form a fan (Cox-Little-Schenck, section 3.2), so only the image
     rays are deduplicated."""
-    tau = tuple(sorted(tau))
-    if tau not in F.all_cones():
-        raise ValueError(f"ray indices {tau} do not name a cone of the fan")
+    tau = _named_cone(F, tau)
     n = F.ambient_dim
     if not tau:
         return F, zl.identity(n)
@@ -268,15 +283,10 @@ def orbit_table(F: Fan):
     by cone dimension then indices. The closure list names the cones
     whose orbits appear in the closure of this cone's orbit, i.e. the
     cones containing it."""
-    n = F.ambient_dim
-    cones = F.all_cones()
-    order = sorted(cones, key=lambda I: (cones[I].dim, I))
-    table = []
-    for I in order:
-        closure = sorted((J for J in cones if set(I) <= set(J)),
-                         key=lambda J: (cones[J].dim, J))
-        table.append((I, n - cones[I].dim, closure))
-    return table
+    dims = F.faces()
+    order = sorted(dims, key=lambda I: (dims[I], I))
+    return [(I, F.ambient_dim - dims[I], [J for J in order if set(I) <= set(J)])
+            for I in order]
 
 
 def has_torus_factor(F: Fan) -> bool:
@@ -285,38 +295,18 @@ def has_torus_factor(F: Fan) -> bool:
     return zl.rank([list(r) for r in F.rays]) < F.ambient_dim
 
 
-def _check_map(Fmat, src_dim, dst_dim):
-    if len(Fmat) != dst_dim or any(len(row) != src_dim for row in Fmat):
-        raise ValueError("lattice map shape does not match the ambient dimensions")
-
-
 def is_compatible(Fmat, F1: Fan, F2: Fan) -> bool:
     """Every cone image F(sigma1) must land inside some cone of F2."""
-    _check_map(Fmat, F1.ambient_dim, F2.ambient_dim)
-    for c in F1._max_objs:
-        # row by row, so that a map into Z^0 (no rows) sends g to []
-        img = [[zl.dot(row, g) for row in Fmat] for g in c.generators]
-        if not any(all(c2.contains(v) for v in img) for c2 in F2._max_objs):
-            return False
-    return True
+    return all(image_cone(Fmat, F2, c) is not None for c in F1._max_objs)
 
 
 def image_cone(Fmat, F2: Fan, sigma1: cn.Cone):
     """Ray-index tuple of the minimal cone of F2 containing the image
     of sigma1, or None when no cone contains it."""
-    _check_map(Fmat, sigma1.ambient_dim, F2.ambient_dim)
-    img = [[zl.dot(row, g) for row in Fmat] for g in sigma1.generators]
-    candidates = [I for I, c in F2.all_cones().items()
-                  if all(c.contains(v) for v in img)]
-    if not candidates:
-        return None
-    base = set(candidates[0])
-    for I in candidates[1:]:
-        base &= set(I)
-    result = tuple(sorted(base))
-    if result not in F2.all_cones():
-        raise AssertionError("containing cones do not intersect in a fan cone")
-    return result
+    if len(Fmat) != F2.ambient_dim or any(len(row) != sigma1.ambient_dim for row in Fmat):
+        raise ValueError("lattice map shape does not match the ambient dimensions")
+    # row by row, so that a map into Z^0 (no rows) sends g to []
+    return _smallest_cone(F2, [[zl.dot(row, g) for row in Fmat] for g in sigma1.generators])
 
 
 def is_refinement(Fprime: Fan, F: Fan) -> bool:

@@ -363,17 +363,6 @@ def normal_form(f: SparsePolynomial, basis, order: MonomialOrder) -> SparsePolyn
     return _packed(run, [e for g in (f, *basis) for e in g.terms], order.key)
 
 
-def s_polynomial(f: SparsePolynomial, g: SparsePolynomial,
-                 order: MonomialOrder) -> SparsePolynomial:
-    """S-polynomial: both leading terms lifted to their lcm and cancelled."""
-    lf, cf = f.leading(order)
-    lg, cg = g.leading(order)
-    T = tuple(map(max, lf, lg))
-    mf = monomial(f.nvars, tuple(a - b for a, b in zip(T, lf)), 1 / cf)
-    mg = monomial(g.nvars, tuple(a - b for a, b in zip(T, lg)), 1 / cg)
-    return mf * f - mg * g
-
-
 def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
     """Buchberger's pair loop, on packed leading monomials only.
 

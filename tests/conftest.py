@@ -1059,7 +1059,7 @@ def all_cones_is_complete(F) -> bool:
     n = F.ambient_dim
     if any(c.dim < n for c in F._max_objs):
         return False
-    ridges = [f for f in F.all_cones().values() if f.dim == n - 1]
+    ridges = [f for f in rebuilt_all_cones(F).values() if f.dim == n - 1]
     return all(sum(1 for c in F._max_objs if c.contains_cone(f)) == 2
                for f in ridges)
 
@@ -1140,3 +1140,74 @@ def projected_is_very_ample(P) -> bool:
 def projected_is_smooth(P) -> bool:
     Q, _ = pt.project_full(P)
     return all(tangent.is_smooth for _, tangent in projected_tangent_cones(Q))
+
+
+# ---------------------------------------------------------------------------
+# the rebuilt-face oracles of the fan lookups: ``rebuilt_all_cones`` is
+# ``Fan.all_cones`` (one Cone, one double description, per face of every
+# maximal cone, without its cache), and ``scanned_cone_containing_relint``,
+# ``intersected_image_cone``, ``rebuilt_orbit_table`` and
+# ``any_cone_is_compatible`` are ``fans.cone_containing_relint``,
+# ``fans.image_cone``, ``fans.orbit_table`` and ``fans.is_compatible`` as
+# the library ran them before every lookup read one smallest-face cut off
+# the zero sets, unchanged apart from their names, the fan argument where
+# ``all_cones`` had ``self``, and the ``rebuilt_all_cones(F)`` they call
+
+def rebuilt_all_cones(F):
+    """Every cone of the fan, as a dict: ray-index tuple -> Cone.
+    Generator j of maximal cone I is ray I[j], which names the rays
+    of each face mask."""
+    out = {}
+    for I, c in zip(F.maximal_cones, F._max_objs):
+        for Z in c.face_masks():
+            ixs = tuple(i for j, i in enumerate(I) if Z >> j & 1)
+            if ixs not in out:
+                out[ixs] = cn.cone([F.rays[i] for i in ixs], F.ambient_dim)
+    return out
+
+
+def scanned_cone_containing_relint(F, u):
+    cones = rebuilt_all_cones(F)
+    for ixs in sorted(cones, key=lambda I: (len(I), I)):
+        if cones[ixs].contains_in_relint(u):
+            return ixs
+    return None
+
+
+def intersected_image_cone(Fmat, F2, sigma1):
+    if len(Fmat) != F2.ambient_dim or any(len(row) != sigma1.ambient_dim for row in Fmat):
+        raise ValueError("lattice map shape does not match the ambient dimensions")
+    cones = rebuilt_all_cones(F2)
+    img = [[zl.dot(row, g) for row in Fmat] for g in sigma1.generators]
+    candidates = [I for I, c in cones.items() if all(c.contains(v) for v in img)]
+    if not candidates:
+        return None
+    base = set(candidates[0])
+    for I in candidates[1:]:
+        base &= set(I)
+    result = tuple(sorted(base))
+    if result not in cones:
+        raise AssertionError("containing cones do not intersect in a fan cone")
+    return result
+
+
+def any_cone_is_compatible(Fmat, F1, F2) -> bool:
+    if len(Fmat) != F2.ambient_dim or any(len(row) != F1.ambient_dim for row in Fmat):
+        raise ValueError("lattice map shape does not match the ambient dimensions")
+    for c in F1._max_objs:
+        img = [[zl.dot(row, g) for row in Fmat] for g in c.generators]
+        if not any(all(c2.contains(v) for v in img) for c2 in F2._max_objs):
+            return False
+    return True
+
+
+def rebuilt_orbit_table(F):
+    n = F.ambient_dim
+    cones = rebuilt_all_cones(F)
+    order = sorted(cones, key=lambda I: (cones[I].dim, I))
+    table = []
+    for I in order:
+        closure = sorted((J for J in cones if set(I) <= set(J)),
+                         key=lambda J: (cones[J].dim, J))
+        table.append((I, n - cones[I].dim, closure))
+    return table

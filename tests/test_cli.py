@@ -7,8 +7,10 @@ goldens.
 """
 
 import copy
+import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -17,6 +19,8 @@ from conftest import within
 
 import toric_kernel.cli as cli
 from toric_kernel import cones as cn
+from toric_kernel import fans as fn
+from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -875,3 +879,50 @@ def test_printed_basis_is_pinned(capsys, command, payload, expected, check):
     assert code == 0, out
     check(payload, json.loads(out))
     assert out == expected + "\n"
+
+
+def seeded_fan_payload(seed):
+    """The normal fan of the hull of random points, as a CLI fan: seed 8
+    draws 40 points in [-6,6]^3 (38 rays, 21 maximal cones), the others
+    7 points in [-2,2]^3."""
+    rng = random.Random(seed)
+    k, r = (40, 6) if seed == 8 else (7, 2)
+    while True:
+        P = pt.hull([[rng.randint(-r, r) for _ in range(3)] for _ in range(k)])
+        if P.is_full_dim:
+            break
+    F = fn.normal_fan(P)
+    return {"rays": F.rays, "max_cones": [[i + 1 for i in I] for I in F.maximal_cones]}
+
+
+# No fixture covers star-quotient, so these pin the SHA-256 of its stdout on
+# seeded fans: the zero cone, a ray, a 2-cone and a maximal cone of each,
+# ray indices that name no cone (exit 1) and unsorted ones.
+STAR_QUOTIENT_PINS = [
+    (8, [1], 0, "c62a277887c15160aeb04ee6411b1f36ecb9f7d14724d00cb77180ca8826509a"),
+    (1, [], 0, "9dc42fb5ff476d98fd1e6b6a84458623763ec1c50f6cd5f870826cf09a1a23a4"),
+    (1, [1], 0, "8969604e9ac07e6ff145849e57b402d57fd3928ae0d361a2e22c3da0d525374d"),
+    (1, [7, 8], 0, "7cffea9c373de2e315e9c83a0b40f28ad06a208ffd095087761fe6987b11971c"),
+    (1, [2, 1], 0, "7cffea9c373de2e315e9c83a0b40f28ad06a208ffd095087761fe6987b11971c"),
+    (1, [3, 4, 7, 8], 0, "7727e9240554f80a8cdedc926c2ca856584f8974bf5d53d113c5b82ff77fdaf1"),
+    (1, [1, 4], 1, "242388529b55b41bfc63e71ab2da1e890503e7179ad5c2e2b930b508fccd5ebc"),
+    (1, [1, 1], 1, "6da56bd1a09533fbe679677ea78a12b4b2c455da121b366073ea730224daf6b9"),
+    (2, [], 0, "9743469be6813aaedf408e038f982ab724b42468ecd6601ff7e4fcce5ad8a727"),
+    (2, [1], 0, "5030f412cc053b524dd0549dd2bde3348a312123abd4431f2c495333f5558787"),
+    (2, [6, 7], 0, "4833f2afb59a4d525849c97b7e28400bf886517e8d543b57946eeeeaf14cd2ad"),
+    (2, [1, 6, 7], 0, "7727e9240554f80a8cdedc926c2ca856584f8974bf5d53d113c5b82ff77fdaf1"),
+    (2, [1, 3], 1, "6e68451e256bb0b9f9b1df04fa16bb79712d5b91284acdf0865036d7dc3f575d"),
+    (3, [], 0, "b40f1ff9698df78db893e0910f1f49bd02509b42ab42d9cc388c5b199785ca54"),
+    (3, [1], 0, "889e3a50a11f0f227376b13d20025a5f8325898d386a1bc517bbdc237d27db9d"),
+    (3, [5, 6], 0, "837639dd8b87762c61e6a265197a187b8aedf9c311142b94851fc7f4629ab821"),
+    (3, [3, 5, 6], 0, "7727e9240554f80a8cdedc926c2ca856584f8974bf5d53d113c5b82ff77fdaf1"),
+    (3, [1, 4], 1, "242388529b55b41bfc63e71ab2da1e890503e7179ad5c2e2b930b508fccd5ebc"),
+]
+
+
+@pytest.mark.parametrize("seed,cone,code,digest", STAR_QUOTIENT_PINS)
+def test_star_quotient_is_pinned(capsys, seed, cone, code, digest):
+    request = {"schema": 1, "payload": {"fan": seeded_fan_payload(seed), "cone": cone}}
+    got, out = run(capsys, ["fan", "star-quotient"], json.dumps(request))
+    assert got == code, out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

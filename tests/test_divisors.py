@@ -351,7 +351,7 @@ def random_subfan(rng, F):
 
 def random_skeleton(rng, F):
     """A fan of some random cones of dimension at most 2 of F."""
-    faces = [I for I, c in F.all_cones().items() if 1 <= c.dim <= 2]
+    faces = [I for I, d in F.faces().items() if 1 <= d <= 2]
     chosen = rng.sample(faces, rng.randint(1, min(6, len(faces))))
     return fan_of(F, [I for I in chosen
                       if not any(set(I) < set(J) for J in chosen)])

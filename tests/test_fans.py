@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import rebuilt_all_cones
 
 from toric_kernel import cones as cn
 from toric_kernel import zlattice as zl
@@ -63,7 +64,7 @@ class TestConstruction:
         F = fan_p2()
         assert F.ambient_dim == 2
         assert len(F.rays) == 3
-        assert len(F.all_cones()) == 7
+        assert len(F.faces()) == 7
 
     def test_rays_primitivized_and_deduplicated(self):
         F = fan([[2, 0], [0, 3], [-1, -1], [1, 0]],
@@ -107,6 +108,12 @@ class TestConstruction:
         assert c.contains([1, 1])
         with pytest.raises(ValueError):
             F.cone_of((0, 1, 2))
+        with pytest.raises(ValueError, match="do not name a cone"):
+            F.cone_of((0, 3))  # ray 3 is out of range
+        with pytest.raises(ValueError, match="do not name a cone"):
+            F.cone_of((0, -1))  # so is ray -1, not the last ray
+        with pytest.raises(ValueError, match="do not name a cone"):
+            F.cone_of((1, 1))
 
 
 class TestNormalFan:
@@ -245,7 +252,7 @@ class TestRelintLocation:
     def test_partition_on_complete_fans(self):
         rng = random.Random(7)
         for F in (fan_p2(), fan_chiaramara()):
-            cones = F.all_cones()
+            cones = rebuilt_all_cones(F)
             for _ in range(100):
                 u = [rng.randint(-9, 9), rng.randint(-9, 9)]
                 hits = [I for I, c in cones.items() if c.contains_in_relint(u)]

@@ -77,7 +77,7 @@ def seeded_fans(seed):
         family.append(subfan(F, picks))
         family.append(subfan(F, picks[:1]))
         out.extend((X, family) for X in family)
-        for tau in rng.sample(sorted(F.all_cones()), 3):
+        for tau in rng.sample(sorted(F.faces()), 3):
             Fq, _ = fn.star_quotient_fan(F, tau)
             out.append((Fq, [Fq]))
     P1 = fn.normal_fan(random_polytope(rng, 1, hi=4))

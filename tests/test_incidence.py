@@ -2,7 +2,8 @@
 
 A Cone keeps, for each dual ray, the bitmask of its generators tight on
 that ray, and reads pointedness, its rays, its faces, relative-interior
-membership, ``is_face_of`` and ``Fan.all_cones`` off those masks. The
+membership and ``is_face_of`` off those masks, and a Fan reads its faces
+(``Fan.faces``, ``Fan.cone_of``) off the masks of its maximal cones. The
 oracles in conftest.py are the dot-product incidences these replaced;
 they are compared here on seeded cones in Z^0 to Z^4 and seeded fans.
 """
@@ -128,9 +129,11 @@ def seeded_fans(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_all_cones_against_containment(seed):
     for F in seeded_fans(seed):
-        new, old = F.all_cones(), containment_all_cones(F)
+        new, old = F.faces(), containment_all_cones(F)
         assert sorted(new) == sorted(old)
-        for ixs, c in new.items():
+        for ixs, d in new.items():
+            assert d == old[ixs].dim
+            c = F.cone_of(ixs)
             assert c.generators == old[ixs].generators
             assert (c.dual_lineality, c.dual_rays) == \
                 (old[ixs].dual_lineality, old[ixs].dual_rays)
