@@ -244,6 +244,15 @@ class Cone:
         diag = zl.snf_diagonal(zl.from_columns(R, rows=self.ambient_dim))
         return all(d == 1 for d in diag)
 
+    def on_generators(self, positions) -> "Cone":
+        """This cone on its generators at the given positions, in that
+        order, which must take in every extreme one: the dual rays stay,
+        and each zero set is read at the new positions."""
+        return Cone(self.ambient_dim, [self.generators[k] for k in positions],
+                    self.dual_lineality, self.dual_rays,
+                    [sum(1 << b for b, k in enumerate(positions) if Z >> k & 1)
+                     for Z in self.zero_sets])
+
     def dual(self) -> "Cone":
         gens = [list(m) for m in self.facet_normals]
         return cone(gens, self.ambient_dim)

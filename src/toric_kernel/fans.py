@@ -255,7 +255,8 @@ def star_quotient_fan(F: Fan, tau):
 
     Distinct maximal cones containing tau have distinct pointed images
     that form a fan (Cox-Little-Schenck, section 3.2), so only the image
-    rays are deduplicated."""
+    rays are deduplicated. Each image cone is built once and kept on its
+    rays, in index order."""
     tau = _named_cone(F, tau)
     n = F.ambient_dim
     if not tau:
@@ -264,18 +265,20 @@ def star_quotient_fan(F: Fan, tau):
     d = n - len(pi)
     if d == n:
         return _trusted_fan([], [()], 0), pi
-    new_rays, new_max = [], []
+    new_rays, new_max, objs = [], [], []
     for I in F.maximal_cones:
         if not set(tau) <= set(I):
             continue
         img = cn.cone([zl.mat_vec(pi, F.rays[i]) for i in I], n - d)
-        ixs = []
-        for r in img.rays():
-            if r not in new_rays:
-                new_rays.append(r)
-            ixs.append(new_rays.index(r))
-        new_max.append(ixs)
-    return _trusted_fan(new_rays, new_max, n - d), pi
+        extreme, at = img._ray_mask(), {}   # at: ray index -> position among img's generators
+        for k, g in enumerate(img.generators):
+            if extreme >> k & 1:
+                if g not in new_rays:
+                    new_rays.append(list(g))
+                at[new_rays.index(g)] = k
+        new_max.append(tuple(sorted(at)))
+        objs.append(img.on_generators([at[i] for i in new_max[-1]]))
+    return Fan(n - d, new_rays, new_max, objs), pi
 
 
 def orbit_table(F: Fan):

@@ -24,20 +24,23 @@ rewrites one monomial at a time, m -> m - lead + tail (Sturmfels,
 *Groebner Bases and Convex Polytopes*, ch. 12).
 
 Within an engine call each monomial is one int with a field per
-variable and a guard bit atop each field (``_Packing``), so divisibility,
-lcm, support and rewriting are a few exact int operations; exponent
-tuples remain only in the arguments and the results.
+variable and a guard bit atop each field (``_packing._Packing``), so
+divisibility, lcm, support and rewriting are a few exact int operations;
+exponent tuples remain only in the arguments and the results. The
+binomial engine finds the first lead that divides a monomial through a
+``_packing._LeadIndex`` of the leads' exponents, not a scan of the leads.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
 
 from . import cones as cn
 from . import zlattice as zl
+from ._packing import _LeadIndex, _Overflow, _Packing, _packed
 
 def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -224,81 +227,16 @@ def constant(nvars: int, coeff) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 # packed monomials, division and Buchberger's algorithm
 
-class _Overflow(Exception):
-    """A packed exponent reached the guard bit of its field."""
-
-
-def _field_width(top: int) -> int:
-    """Starting field width for exponents up to top: their bits and a guard bit, 8 at least."""
-    return max(8, top.bit_length() + 1)
-
-
-class _Packing(dict):
-    """Exponent tuples packed into one int, ``width`` bits a variable, and
-    the order keys of the packed monomials, each computed once.
-
-    Variable 0 takes the highest field, so packed ints compare like their
-    tuples. The top bit of each field is a guard bit, clear in a packed
-    monomial (Bachmann-Schoenemann, ISSAC 1998): no field of (m | guard)
-    - a borrows from the next, and its guard bit stays set iff a's
-    exponent is at most m's. A monomial with a guard bit set raises
-    _Overflow: it has outgrown the width.
-    """
-
-    __slots__ = ("key", "width", "top", "shifts", "guard", "low")
-
-    def __init__(self, nvars: int, width: int, key):
-        super().__init__()
-        self.key, self.width, self.top = key, width, (1 << width - 1) - 1
-        self.shifts = tuple(range((nvars - 1) * width, -1, -width))
-        ones = sum(1 << s for s in self.shifts)
-        self.guard, self.low = ones << width - 1, ones * self.top
-
-    def __missing__(self, m):
-        k = self[m] = self.key(self.unpack(m))
-        return k
-
-    def pack(self, exps) -> int:
-        if max(exps, default=0) > self.top:
-            raise _Overflow
-        return sum(e << s for e, s in zip(exps, self.shifts))
-
-    def unpack(self, m: int) -> tuple:
-        return tuple(m >> s & self.top for s in self.shifts)
-
-    def divides(self, a: int, m: int) -> bool:
-        return ((m | self.guard) - a) & self.guard == self.guard
-
-    def lcm(self, a: int, b: int) -> int:
-        """Field-wise max: a where (a | guard) - b keeps the guard bit."""
-        g = ((a | self.guard) - b) & self.guard
-        return b ^ ((a ^ b) & (g - (g >> self.width - 1)))
-
-    def support(self, a: int) -> int:
-        """The guard bits of the fields where a is nonzero."""
-        return (a + self.low) & self.guard
-
-    def divisor(self, f) -> tuple:
-        """(lm, lc, h): h the primitive integer multiple of f (a polynomial or
-        packed terms) on packed monomials, lm its lead with coefficient lc > 0."""
-        if isinstance(f, SparsePolynomial):
-            f = {self.pack(e): c for e, c in f.terms.items()}
-        den = lcm(*(c.denominator for c in f.values()))
-        ints = {e: c.numerator * (den // c.denominator) for e, c in f.items()}
-        lm = max(ints, key=self.__getitem__)
-        g = gcd(*ints.values()) * (1 if ints[lm] > 0 else -1)
-        return lm, ints[lm] // g, {e: c // g for e, c in ints.items()}
-
-
-def _packed(run, exps: list, key):
-    """run(P) for a _Packing under the order key that holds the input's
-    exponent tuples exps; an _Overflow restarts run at twice the width."""
-    width = _field_width(max(max(e, default=0) for e in exps))
-    while True:
-        try:
-            return run(_Packing(len(exps[0]), width, key))
-        except _Overflow:
-            width *= 2
+def _divisor(P: _Packing, f) -> tuple:
+    """(lm, lc, h): h the primitive integer multiple of f (a polynomial or
+    packed terms) on packed monomials, lm its lead with coefficient lc > 0."""
+    if isinstance(f, SparsePolynomial):
+        f = {P.pack(e): c for e, c in f.terms.items()}
+    den = lcm(*(c.denominator for c in f.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in f.items()}
+    lm = max(ints, key=P.__getitem__)
+    g = gcd(*ints.values()) * (1 if ints[lm] > 0 else -1)
+    return lm, ints[lm] // g, {e: c // g for e, c in ints.items()}
 
 
 def _reduce_terms(terms: dict, lead: list, P: _Packing) -> tuple:
@@ -355,8 +293,8 @@ def normal_form(f: SparsePolynomial, basis, order: MonomialOrder) -> SparsePolyn
     basis = [g for g in basis if not g.is_zero]
 
     def run(P):
-        lm, c, F = P.divisor(f)
-        r, scale = _reduce_terms(F, [P.divisor(g) for g in basis], P)
+        lm, c, F = _divisor(P, f)
+        r, scale = _reduce_terms(F, [_divisor(P, g) for g in basis], P)
         d = f.terms[P.unpack(lm)] / (c * scale)
         return SparsePolynomial(f.nvars, {P.unpack(m): x * d for m, x in r.items()})
 
@@ -376,7 +314,9 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
     tuple, and are pruned Gebauer-Moeller style as each element arrives:
     pairs with coprime leads are dropped, and so is a pair whose lcm a
     third lead divides while both side pairs survive with smaller lcms.
-    Divisibility, lcm and coprimality are exact packed-int tests.
+    Divisibility, lcm and coprimality are exact packed-int tests; the
+    candidate scans, which stop within a few leads, write the divisibility
+    test out: a divides T iff ((T | guard) - a) keeps every guard bit.
     """
     G, plcm = P.guard, P.lcm
     lead, supp = [], []   # packed leading monomials, their supports
@@ -400,11 +340,15 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
         kept, queued = [], []
         for i in range(new):
             if supp[i] & s:
-                T = plcm(lead[i], le)
-                if divides_any(T, islice(lead, i + 1, None)) or divides_any(T, kept):
-                    continue
-                queued.append((i, T))
-            kept.append(lead[i])
+                TG = plcm(lead[i], le) | G
+                for a in chain(islice(lead, i + 1, None), kept):
+                    if (TG - a) & G == G:
+                        break
+                else:
+                    queued.append((i, TG ^ G))
+                    kept.append(lead[i])
+            else:
+                kept.append(lead[i])
 
         # prune old pairs whose lcm the new leading monomial divides strictly
         for ij in [(i, j) for (i, j), T in alive.items() if P.divides(le, T)
@@ -415,7 +359,7 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
         supp.append(s)
         for i, T in queued:
             alive[(i, new)] = T
-            heapq.heappush(heap, (sum(P.unpack(T)), T, i, new))
+            heapq.heappush(heap, (sum(P.fields(T)), T, i, new))
 
     for le in initial:
         install(le)
@@ -437,7 +381,7 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
 
 
 def _groebner(gens, P: _Packing) -> list:
-    """Reduced Groebner basis of nonzero generators as ``_Packing.divisor``
+    """Reduced Groebner basis of nonzero generators as ``_divisor``
     tuples sorted by key. With g = gcd(lc_i, lc_j), the S-pair of f_i and
     f_j is (lc_j/g) x^(T - lm_i) f_i - (lc_i/g) x^(T - lm_j) f_j, T the lcm
     of the leading monomials; the pair loop is ``_pair_loop``."""
@@ -452,14 +396,14 @@ def _groebner(gens, P: _Packing) -> list:
         r, _ = _reduce_terms({t: c for t, c in sterms.items() if c}, cache, P)
         if not r:
             return None
-        cache.append(P.divisor(r))
+        cache.append(_divisor(P, r))
         return cache[-1][0]
 
-    cache = sorted(map(P.divisor, gens), key=lambda d: P[d[0]])
+    cache = sorted((_divisor(P, g) for g in gens), key=lambda d: P[d[0]])
     kept = _pair_loop([d[0] for d in cache], reduce_pair, P)
 
     # inter-reduce; the leading monomials, hence the key order, stay
-    return [P.divisor(_reduce_terms(cache[k][2], [cache[m] for m in kept if m != k], P)[0])
+    return [_divisor(P, _reduce_terms(cache[k][2], [cache[m] for m in kept if m != k], P)[0])
             for k in kept]
 
 
@@ -489,45 +433,48 @@ def _binomial_basis(pairs, key) -> list:
 
     The S-pair of (a_i, b_i) and (a_j, b_j) with lcm T is (T - a_i + b_i,
     T - a_j + b_j); each side is rewritten to normal form by m -> m - a + b,
-    packed, with the first (a, b) whose lead divides m. Equal sides mean
-    the S-pair reduces to zero.
+    packed, with the first (a, b) whose lead divides m, which a
+    ``_LeadIndex`` of the leads finds without scanning them. Equal sides
+    mean the S-pair reduces to zero.
     """
     if not pairs:
         return []
 
     def run(P):
         G = P.guard
-        basis = []   # packed (lead, tail) pairs
 
         def normal(m):
             while True:
                 if m & G:
                     raise _Overflow
-                mG = m | G
-                for a, b in basis:
-                    if (mG - a) & G == G:
-                        m = m - a + b
-                        break
-                else:
+                k = index.first(m)
+                if k == len(basis):
                     return m
+                a, b = basis[k]
+                m = m - a + b
 
-        def add(u, v):
-            basis.append((u, v) if P[u] > P[v] else (v, u))
-            return basis[-1][0]
+        def oriented(u, v):
+            return (u, v) if P[u] > P[v] else (v, u)
 
         def reduce_pair(i, j, T):
             (a, b), (c, d) = basis[i], basis[j]
             u, v = normal(T - a + b), normal(T - c + d)
-            return None if u == v else add(u, v)
+            if u == v:
+                return None
+            basis.append(oriented(u, v))
+            index.add(basis[-1][0])
+            return basis[-1][0]
 
-        for u, v in pairs:
-            add(P.pack(u), P.pack(v))
-        basis.sort(key=lambda p: P[p[0]])
+        # packed (lead, tail) pairs, and the index of their leads
+        basis = sorted((oriented(P.pack(u), P.pack(v)) for u, v in pairs),
+                       key=lambda p: P[p[0]])
+        index = _LeadIndex(P, [a for a, _ in basis])
         kept = _pair_loop([a for a, _ in basis], reduce_pair, P)
 
         # the minimal leads still form a Groebner basis; a tail and all its
         # rewrites are smaller than their own lead, which never rewrites them
-        basis[:] = [basis[k] for k in kept]
+        basis = [basis[k] for k in kept]
+        index = _LeadIndex(P, [a for a, _ in basis])
         return [(P.unpack(a), P.unpack(normal(b))) for a, b in basis]
 
     return _packed(run, [m for p in pairs for m in p], key)
@@ -541,7 +488,7 @@ def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> boo
     if not gens or f.is_zero:
         return f.is_zero
 
-    return _packed(lambda P: not _reduce_terms(P.divisor(f)[2], _groebner(gens, P), P)[0],
+    return _packed(lambda P: not _reduce_terms(_divisor(P, f)[2], _groebner(gens, P), P)[0],
                    [e for g in (f, *gens) for e in g.terms], order.key)
 
 

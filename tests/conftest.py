@@ -357,6 +357,13 @@ def tuple_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def scanned_first_divisor(leads, m) -> int:
+    """Position of the first lead in list order that divides m, or
+    len(leads) when none does: the scan of the basis list that the
+    binomial engine's ``_LeadIndex`` replaced, on exponent tuples."""
+    return next((k for k, a in enumerate(leads) if tuple_divides(a, m)), len(leads))
+
+
 MASK_BITS = 4   # bits per variable in a divisibility mask
 THERMO = tuple((1 << k) - 1 for k in range(MASK_BITS + 1))
 

@@ -4,7 +4,8 @@
 generic ``buchberger`` on term dicts is its oracle. Both engines pack each
 monomial into one int (``_Packing``); ``tuple_binomial_basis`` and the
 Fraction engine in conftest, which run on exponent tuples, are the
-oracles of the packing. ``generic_toric_ideal``
+oracles of the packing, and ``scanned_first_divisor`` there is the
+oracle of the lead index (``_LeadIndex``). ``generic_toric_ideal``
 below is the graded path as it was before the binomial engine, kept here
 verbatim in substance: one ``buchberger`` per variable under
 ``_SaturationOrder``, each element divided by the variable's largest
@@ -18,8 +19,9 @@ import random
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import (fraction_buchberger, fraction_membership, tuple_binomial_basis,
-                      tuple_divides, tuple_lcm, tuple_mask, within)
+from conftest import (fraction_buchberger, fraction_membership, scanned_first_divisor,
+                      tuple_binomial_basis, tuple_divides, tuple_lcm, tuple_mask, within)
+from toric_kernel import _packing as pk
 from toric_kernel import cones as cn
 from toric_kernel import ideals as il
 from toric_kernel import zlattice as zl
@@ -215,7 +217,7 @@ class TestSaturationPasses:
         # 15 variables, of which the unit closure leaves three to saturate;
         # a loop of restarts or a quadratic repacking would miss the budget
         A = permutohedral_configuration()
-        with within(3):
+        with within(2):
             basis, calls = self.count_passes(monkeypatch, A)
         assert len(basis) == 128
         assert calls <= 4
@@ -283,6 +285,17 @@ class TestBinomialBasis:
                 key = il.elimination_block(1).key
                 assert il._binomial_basis(lifted, key) == tuple_binomial_basis(lifted, key)
                 assert il.toric_ideal(A) == tuple_toric_ideal(A)
+
+    def test_lead_exponents_near_a_billion(self):
+        # 31-bit fields, and a lead index whose lists hold one entry per
+        # distinct lead exponent, not one per exponent value
+        pairs = [((10 ** 9, 0), (0, 1)), ((0, 2), (1, 0))]
+        with within(2):
+            assert il.toric_ideal([[1, 10 ** 9]]) == [binomial((10 ** 9, 0), (0, 1))]
+            assert il.toric_ideal([[1, 1, 1], [0, 2, 10 ** 9]]) == \
+                [binomial((0, 5 * 10 ** 8, 0), (5 * 10 ** 8 - 1, 0, 1))]
+            assert il._binomial_basis(pairs, GREVLEX.key) == \
+                tuple_binomial_basis(pairs, GREVLEX.key)
 
 
 class TestPackedGenericEngine:
@@ -375,6 +388,50 @@ class TestPacking:
             assert rewritten == P.pack(r)
 
 
+class TestLeadIndex:
+    """``_LeadIndex.first`` against the scan of the leads in list order."""
+
+    # exponents of the leads: small ones, and the top of each field (127,
+    # 32767 and 2^31 - 1), or just below it
+    TOPS = {8: (126, 127), 16: (128, 32767), 32: (32768, (1 << 31) - 1)}
+
+    @staticmethod
+    def queries(rng, leads, n, top):
+        """Each lead, a lead grown by a little or up to the field's top,
+        which passes every lead's exponent, a lead one short in a field,
+        which it no longer divides, and random small monomials."""
+        out = [(0,) * n, (top,) * n]
+        for a in leads:
+            j = rng.randrange(n)
+            out.append(a)
+            out.append(tuple(min(x + rng.randint(0, 3), top) for x in a))
+            out.append(a[:j] + (top,) + a[j + 1:])
+            if a[j]:
+                out.append(a[:j] + (a[j] - 1,) + a[j + 1:])
+        out += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(8)]
+        return out
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_first_lead_matches_the_scan(self, width):
+        rng = random.Random(20261112 + width)
+        top = (1 << width - 1) - 1
+        with within(30):
+            for _ in range(30):
+                n = rng.randint(1, 4)
+                leads = [tuple(rng.choice((rng.randint(0, 3), rng.randint(0, 3),
+                                           rng.choice(self.TOPS[width])))
+                               for _ in range(n)) for _ in range(rng.randint(1, 12))]
+                P = pk._Packing(n, width, GREVLEX.key)
+                index = pk._LeadIndex(P)
+                assert index.first(P.pack(leads[0])) == 0 == index.size
+                for k, a in enumerate(leads):
+                    index.add(P.pack(a))
+                    for q in self.queries(rng, leads[:k + 1], n, top):
+                        assert index.first(P.pack(q)) == scanned_first_divisor(leads[:k + 1], q)
+                assert index.over == pk._LeadIndex(P, map(P.pack, leads)).over
+                assert index.cuts == sorted({e for a in leads for e in a})
+
+
 class TestWidthGrowth:
     # two binomials whose exponents fit the 8-bit field; their LEX basis
     # reaches exponent 2,525
@@ -391,7 +448,7 @@ class TestWidthGrowth:
                 widths.append(width)
                 super().__init__(nvars, width, key)
 
-        monkeypatch.setattr(il, "_Packing", Spy)
+        monkeypatch.setattr(pk, "_Packing", Spy)
         return widths
 
     def test_a_rewrite_past_the_field_restarts_twice_as_wide(self, monkeypatch):
@@ -428,7 +485,7 @@ class TestWidthGrowth:
             toric = tuple_toric_ideal(A)
             cases.append((A, gens, toric, fraction_buchberger(gens, GREVLEX),
                           [fraction_membership(f, gens, GREVLEX) for f in toric[:3]]))
-        monkeypatch.setattr(il, "_field_width", lambda top: 8)
+        monkeypatch.setattr(pk, "_field_width", lambda top: 8)
         widths = self.spy_widths(monkeypatch)
         with within(30):
             for A, gens, toric, basis, members in cases:

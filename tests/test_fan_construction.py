@@ -35,6 +35,7 @@ def assert_same_fan(F, G):
         assert a.generators == b.generators
         assert a.dual_rays == b.dual_rays
         assert a.dual_lineality == b.dual_lineality
+        assert a.zero_sets == b.zero_sets
 
 
 def assert_matches_validated(make, *args):

@@ -169,3 +169,20 @@ def test_lookups_build_no_cone():
             fn.star_quotient_fan(F, not_a_cone)
     assert cone.call_count == 0
     assert dd.call_count == 0
+
+
+def test_star_quotient_builds_each_image_cone_once():
+    """The normal fan of the hull of 40 points in [-6,6]^3 (38 rays): its
+    star quotient at ray 0 has 3 maximal cones, and each image cone is one
+    double description, kept on its rays rather than built again."""
+    rng = random.Random(8)
+    F = fn.normal_fan(pt.hull([[rng.randint(-6, 6) for _ in range(3)] for _ in range(40)]))
+    assert len(F.rays) == 38
+    with mock.patch.object(cn, "cone", wraps=cn.cone) as cone:
+        G, _ = fn.star_quotient_fan(F, (0,))
+    assert len(G.maximal_cones) == 3
+    assert cone.call_count == 3
+    checked = fn.fan(G.rays, G.maximal_cones, G.ambient_dim)
+    assert G.maximal_cones == checked.maximal_cones
+    for a, b in zip(G._max_objs, checked._max_objs, strict=True):
+        assert (a.generators, a.dual_rays, a.zero_sets) == (b.generators, b.dual_rays, b.zero_sets)
