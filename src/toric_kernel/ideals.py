@@ -28,14 +28,15 @@ variable and a guard bit atop each field (``_packing._Packing``), so
 divisibility, lcm, support and rewriting are a few exact int operations;
 exponent tuples remain only in the arguments and the results. The
 binomial engine finds the first lead that divides a monomial through a
-``_packing._LeadIndex`` of the leads' exponents, not a scan of the leads.
+``_packing._LeadIndex`` of the leads' exponents, not a scan of the leads,
+and rewrites each input by the inputs before it, so that an input
+already in the ideal of those before it never reaches the pair loop.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import chain, islice
 from math import gcd, lcm
 
 from . import cones as cn
@@ -314,11 +315,13 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
     tuple, and are pruned Gebauer-Moeller style as each element arrives:
     pairs with coprime leads are dropped, and so is a pair whose lcm a
     third lead divides while both side pairs survive with smaller lcms.
-    Divisibility, lcm and coprimality are exact packed-int tests; the
-    candidate scans, which stop within a few leads, write the divisibility
-    test out: a divides T iff ((T | guard) - a) keeps every guard bit.
+    Divisibility, lcm and coprimality are exact packed-int tests. The
+    candidate scan, which stops within a few leads, makes no function call
+    per candidate: it writes out the lcm of ``_Packing.lcm`` and the
+    divisibility test, a divides T iff ((T | guard) - a) keeps every
+    guard bit, over the later leads and then the kept ones.
     """
-    G, plcm = P.guard, P.lcm
+    G, plcm, shift = P.guard, P.lcm, P.width - 1
     lead, supp = [], []   # packed leading monomials, their supports
     alive, heap = {}, []  # (i, j) -> lcm of each queued pair; the queue itself
 
@@ -339,16 +342,22 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
         # provisionally since they still knock out candidates whose lcm they divide
         kept, queued = [], []
         for i in range(new):
+            b = lead[i]
             if supp[i] & s:
-                TG = plcm(lead[i], le) | G
-                for a in chain(islice(lead, i + 1, None), kept):
+                g = ((le | G) - b) & G   # lcm(b, le), written out like P.lcm
+                TG = b ^ ((b ^ le) & (g - (g >> shift))) | G
+                for a in lead[i + 1:]:
                     if (TG - a) & G == G:
                         break
                 else:
-                    queued.append((i, TG ^ G))
-                    kept.append(lead[i])
+                    for a in kept:
+                        if (TG - a) & G == G:
+                            break
+                    else:
+                        queued.append((i, TG ^ G))
+                        kept.append(b)
             else:
-                kept.append(lead[i])
+                kept.append(b)
 
         # prune old pairs whose lcm the new leading monomial divides strictly
         for ij in [(i, j) for (i, j), T in alive.items() if P.divides(le, T)
@@ -435,7 +444,11 @@ def _binomial_basis(pairs, key) -> list:
     T - a_j + b_j); each side is rewritten to normal form by m -> m - a + b,
     packed, with the first (a, b) whose lead divides m, which a
     ``_LeadIndex`` of the leads finds without scanning them. Equal sides
-    mean the S-pair reduces to zero.
+    mean the S-pair reduces to zero. The inputs go the same way before
+    the pair loop: smallest lead first, both sides of each are rewritten
+    by the inputs accepted before it, and one whose sides meet is dropped.
+    The ideal, hence the reduced basis, stays; a pass seeded with the
+    whole basis of the previous one starts from a few leads, not all.
     """
     if not pairs:
         return []
@@ -456,19 +469,26 @@ def _binomial_basis(pairs, key) -> list:
         def oriented(u, v):
             return (u, v) if P[u] > P[v] else (v, u)
 
-        def reduce_pair(i, j, T):
-            (a, b), (c, d) = basis[i], basis[j]
-            u, v = normal(T - a + b), normal(T - c + d)
+        def accept(u, v):
+            """Store x^u - x^v with both sides in normal form and return
+            its lead, or None when the sides meet."""
+            u, v = normal(u), normal(v)
             if u == v:
                 return None
             basis.append(oriented(u, v))
             index.add(basis[-1][0])
             return basis[-1][0]
 
-        # packed (lead, tail) pairs, and the index of their leads
-        basis = sorted((oriented(P.pack(u), P.pack(v)) for u, v in pairs),
-                       key=lambda p: P[p[0]])
-        index = _LeadIndex(P, [a for a, _ in basis])
+        def reduce_pair(i, j, T):
+            (a, b), (c, d) = basis[i], basis[j]
+            return accept(T - a + b, T - c + d)
+
+        # the packed inputs, smallest lead first, each reduced by those
+        # accepted before it; only the survivors reach the pair loop
+        basis, index = [], _LeadIndex(P)
+        for u, v in sorted((oriented(P.pack(u), P.pack(v)) for u, v in pairs),
+                           key=lambda p: P[p[0]]):
+            accept(u, v)
         kept = _pair_loop([a for a, _ in basis], reduce_pair, P)
 
         # the minimal leads still form a Groebner basis; a tail and all its

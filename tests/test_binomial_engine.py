@@ -217,10 +217,40 @@ class TestSaturationPasses:
         # 15 variables, of which the unit closure leaves three to saturate;
         # a loop of restarts or a quadratic repacking would miss the budget
         A = permutohedral_configuration()
-        with within(2):
+        with within(1):
             basis, calls = self.count_passes(monkeypatch, A)
         assert len(basis) == 128
         assert calls <= 4
+
+    def test_fuzzed_configuration(self):
+        # each pass is seeded with the whole basis of the pass before, most
+        # of it redundant; installing every seed in the pair loop takes seconds
+        A = [[4, 2, 1, 0, 0, 1, 1], [6, 0, 0, 3, 2, 2, 2], [-2, 1, 2, 2, 1, 0, 1]]
+        with within(5):
+            assert len(il.toric_ideal(A)) == 31
+
+    def test_redundant_inputs_leave_the_pair_loop(self, monkeypatch):
+        # pass 2 is seeded with the 112 binomials of pass 1 divided by x1;
+        # those that the seeds before them reduce to zero never reach the
+        # pair loop, which starts from the rest
+        A = [[1] * 8, [0, 3, 0, 0, 2, 2, 3, 1], [2, 3, 1, 3, 3, 1, 2, 0]]
+        passes = []
+        binomial_basis, pair_loop = il._binomial_basis, il._pair_loop
+
+        def spy_basis(pairs, key):
+            passes.append([len(pairs), None])
+            return binomial_basis(pairs, key)
+
+        def spy_loop(initial, reduce_pair, P):
+            if passes[-1][1] is None:   # a restart at a wider field repeats it
+                passes[-1][1] = len(initial)
+            return pair_loop(initial, reduce_pair, P)
+
+        monkeypatch.setattr(il, "_binomial_basis", spy_basis)
+        monkeypatch.setattr(il, "_pair_loop", spy_loop)
+        assert len(il.toric_ideal(A)) == 18
+        assert passes[1][0] == 112
+        assert passes[1][1] <= 17
 
     def test_configuration_with_a_large_smith_kernel(self, monkeypatch):
         # 7 variables, of which the unit closure leaves three to saturate
@@ -285,6 +315,27 @@ class TestBinomialBasis:
                 key = il.elimination_block(1).key
                 assert il._binomial_basis(lifted, key) == tuple_binomial_basis(lifted, key)
                 assert il.toric_ideal(A) == tuple_toric_ideal(A)
+
+    def test_redundant_inputs_match_the_tuple_engine(self):
+        # the divided output of each saturation pass, that output with
+        # every pair twice, and with one pair times a monomial: the packed
+        # engine drops what those before it reduce, the oracle keeps all
+        rng = random.Random(20261114)
+        with within(30):
+            for k in range(0, 12, 2):
+                A = toric_configuration(rng, k, 4)
+                weights, s = il._positive_grading(A), len(A[0])
+                pairs = kernel_pairs(A)
+                for i in range(s):
+                    key = il._SaturationOrder(weights, i).key
+                    pairs = [il._divide_out(p, i) for p in il._binomial_basis(pairs, key)]
+                    u, v = rng.choice(pairs)
+                    m = tuple(rng.randint(0, 2) for _ in range(s))
+                    for redundant in (pairs, pairs + pairs,
+                                      pairs + [(il._mono_mul(u, m), il._mono_mul(v, m))]):
+                        for order in four_orders(weights, rng.randrange(s)):
+                            assert il._binomial_basis(redundant, order.key) == \
+                                tuple_binomial_basis(redundant, order.key)
 
     def test_lead_exponents_near_a_billion(self):
         # 31-bit fields, and a lead index whose lists hold one entry per
