@@ -111,23 +111,6 @@ def primitive(v: list) -> list:
     return [a // g for a in v]
 
 
-def _swap_col(M, a, b):
-    if a != b:
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-
-
-def _add_col(M, dst, src, c):
-    """column dst += c * column src"""
-    for row in M:
-        row[dst] += c * row[src]
-
-
-def _scale_col(M, j, c):
-    for row in M:
-        row[j] *= c
-
-
 def hnf(M: Matrix) -> tuple[Matrix, Matrix]:
     """Column-style Hermite normal form H = M*U with U unimodular.
 
@@ -145,41 +128,54 @@ def hnf(M: Matrix) -> tuple[Matrix, Matrix]:
 
 def _column_hnf(H: Matrix, U: Matrix) -> None:
     """Bring H to the column HNF of ``hnf`` in place, applying every
-    column operation to U as well."""
+    column operation to U as well.
+
+    U's rows sit under H's in one stack ``A = H + U`` of the same row
+    objects, so each gcd step, swap, sign flip and left reduction is one
+    loop over rows. At pivot row ``row`` the rows of H above it are zero
+    from column ``col`` on, and every operation there swaps or negates
+    such a column or adds a multiple of one to another, which changes
+    nothing on those rows; so it runs over ``A[row:]``: the same
+    operations in the same order as on all of [H; U], with the same H
+    and U.
+    """
     rows, cols = shape(H)
+    A = H + U
     col = 0
     for row in range(rows):
         if col == cols:
             break
+        h = H[row]
+        below = A[row:]
         # gcd-reduce the working entries of this row until one survives
         while True:
-            nz = [j for j in range(col, cols) if H[row][j] != 0]
+            nz = [j for j in range(col, cols) if h[j]]
             if not nz:
-                pivot_col = None
                 break
-            pivot_col = min(nz, key=lambda j: abs(H[row][j]))
+            p = min(nz, key=lambda j: abs(h[j]))
             if len(nz) == 1:
                 break
+            hp = h[p]
             for j in nz:
-                if j == pivot_col:
-                    continue
-                q = H[row][j] // H[row][pivot_col]
-                if q:
-                    _add_col(H, j, pivot_col, -q)
-                    _add_col(U, j, pivot_col, -q)
-        if pivot_col is None:
+                if j != p:
+                    q = h[j] // hp
+                    if q:
+                        for r in below:
+                            r[j] -= q * r[p]
+        if not nz:
             continue
-        _swap_col(H, col, pivot_col)
-        _swap_col(U, col, pivot_col)
-        if H[row][col] < 0:
-            _scale_col(H, col, -1)
-            _scale_col(U, col, -1)
-        p = H[row][col]
+        if p != col:
+            for r in below:
+                r[col], r[p] = r[p], r[col]
+        if h[col] < 0:
+            for r in below:
+                r[col] = -r[col]
+        hp = h[col]
         for j in range(col):
-            q = H[row][j] // p
+            q = h[j] // hp
             if q:
-                _add_col(H, j, col, -q)
-                _add_col(U, j, col, -q)
+                for r in below:
+                    r[j] -= q * r[col]
         col += 1
 
 
@@ -202,9 +198,10 @@ def snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     Row and column Hermite forms alternate until S is diagonal
     (Kannan-Bachem; Cohen, section 2.4.4): the row HNF is the column HNF
-    of S^T with its operations applied to P^T, and the column HNF applies
-    its operations to Q. A diagonal pair d_t, d_(t+1) off the divisibility chain gets
-    column t+1 added to column t, and the next row HNF takes their gcd.
+    of S^T on the stack [S^T; P^T], and the column HNF runs on [S; Q],
+    each over the rows at and below its pivot row only. A diagonal pair
+    d_t, d_(t+1) off the divisibility chain gets column t+1 added to
+    column t in S and Q alike, and the next row HNF takes their gcd.
     """
     rows, cols = shape(M)
     S = copy_matrix(M)
@@ -223,8 +220,8 @@ def snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         t = next((t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]), None)
         if t is None:
             return S, transpose(Pt), Q
-        _add_col(S, t, t + 1, 1)
-        _add_col(Q, t, t + 1, 1)
+        for r in S + Q:
+            r[t] += r[t + 1]
 
 
 def snf_diagonal(M: Matrix) -> list:

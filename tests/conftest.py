@@ -16,10 +16,15 @@ import pytest
 from toric_kernel import cones as cn
 from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
-from toric_kernel.zlattice import (Matrix, _add_col, _swap_col, copy_matrix,
-                                   identity, shape)
+from toric_kernel.zlattice import Matrix, copy_matrix, identity, shape
 from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
                                   _mono_mul)
+
+
+class _Expired(BaseException):
+    """Raised by ``within``'s alarm handler in whatever frame the alarm
+    lands; a BaseException, so that the body's ``except Exception`` does
+    not swallow it."""
 
 
 @contextmanager
@@ -27,31 +32,39 @@ def within(seconds):
     """Fail when the body of the with block runs for `seconds` or longer.
 
     In the main thread of a platform with SIGALRM a process-local timer
-    fails the test at the budget, so a body that never ends cannot hang
+    stops the body at the budget, so a body that never ends cannot hang
     the suite; the handler and timer that were set before are restored
     on exit. Elsewhere the time is only checked after the body ends.
+
+    The handler only raises ``_Expired``; the test fails here, from this
+    frame, with the interrupted frames left out of the report: a frame
+    interrupted between two lines can have no line number, and pytest
+    stopped with an INTERNALERROR formatting a failure raised in it.
     """
     armed = (hasattr(signal, "SIGALRM")
              and threading.current_thread() is threading.main_thread())
     if armed:
         def expire(signum, frame):
-            pytest.fail(f"still running at the budget of {seconds}s")
+            raise _Expired
 
         old_handler = signal.signal(signal.SIGALRM, expire)
         old_delay, old_interval = signal.setitimer(signal.ITIMER_REAL, seconds)
     start = time.monotonic()
     try:
-        yield
-    finally:
-        if armed:
-            try:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-            finally:
-                signal.signal(signal.SIGALRM, old_handler)
-                if old_delay:
-                    # an outer timer that came due meanwhile fires at once
-                    left = old_delay - (time.monotonic() - start)
-                    signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6), old_interval)
+        try:
+            yield
+        finally:
+            if armed:
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                finally:
+                    signal.signal(signal.SIGALRM, old_handler)
+                    if old_delay:
+                        # an outer timer that came due meanwhile fires at once
+                        left = old_delay - (time.monotonic() - start)
+                        signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6), old_interval)
+    except _Expired:
+        raise pytest.fail.Exception(f"still running at the budget of {seconds}s") from None
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
@@ -111,6 +124,93 @@ def quotient_map(K: Matrix) -> tuple[Matrix, Matrix]:
     U = zl.hnf(zl.transpose(K))[1] if ell else identity(n)
     _, Uinv = zl.hnf(U)        # the column HNF of a unimodular U is I
     return zl.columns(U)[ell:], [col[ell:] for col in zl.columns(Uinv)]
+
+
+# ---------------------------------------------------------------------------
+# the column HNF kernel as the library ran it before it stacked [H; U] and
+# restricted each operation to the rows at and below the pivot row: the
+# oracle of ``zl._column_hnf`` and of ``zl.snf``'s transforms.
+# ``old_column_hnf`` and ``old_snf`` are ``_column_hnf`` and ``snf`` with
+# their column helpers, unchanged apart from the names and ``zl.`` prefixes
+
+def _swap_col(M, a, b):
+    if a != b:
+        for row in M:
+            row[a], row[b] = row[b], row[a]
+
+
+def _add_col(M, dst, src, c):
+    """column dst += c * column src"""
+    for row in M:
+        row[dst] += c * row[src]
+
+
+def _scale_col(M, j, c):
+    for row in M:
+        row[j] *= c
+
+
+def old_column_hnf(H: Matrix, U: Matrix) -> None:
+    """Bring H to the column HNF of ``hnf`` in place, applying every
+    column operation to U as well."""
+    rows, cols = shape(H)
+    col = 0
+    for row in range(rows):
+        if col == cols:
+            break
+        # gcd-reduce the working entries of this row until one survives
+        while True:
+            nz = [j for j in range(col, cols) if H[row][j] != 0]
+            if not nz:
+                pivot_col = None
+                break
+            pivot_col = min(nz, key=lambda j: abs(H[row][j]))
+            if len(nz) == 1:
+                break
+            for j in nz:
+                if j == pivot_col:
+                    continue
+                q = H[row][j] // H[row][pivot_col]
+                if q:
+                    _add_col(H, j, pivot_col, -q)
+                    _add_col(U, j, pivot_col, -q)
+        if pivot_col is None:
+            continue
+        _swap_col(H, col, pivot_col)
+        _swap_col(U, col, pivot_col)
+        if H[row][col] < 0:
+            _scale_col(H, col, -1)
+            _scale_col(U, col, -1)
+        p = H[row][col]
+        for j in range(col):
+            q = H[row][j] // p
+            if q:
+                _add_col(H, j, col, -q)
+                _add_col(U, j, col, -q)
+        col += 1
+
+
+def old_snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form S = P*M*Q."""
+    rows, cols = shape(M)
+    S = copy_matrix(M)
+    Pt = identity(rows)
+    Q = identity(cols)
+    while True:
+        # the row HNF comes first, or a repaired column is reduced
+        # straight back to the diagonal it came from
+        St = zl.transpose(S)
+        old_column_hnf(St, Pt)
+        S = zl.transpose(St) if cols else S   # [] would lose an r x 0 S's r
+        old_column_hnf(S, Q)
+        if any(S[i][j] for i in range(rows) for j in range(cols) if i != j):
+            continue
+        d = [S[i][i] for i in range(min(rows, cols))]
+        t = next((t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]), None)
+        if t is None:
+            return S, zl.transpose(Pt), Q
+        _add_col(S, t, t + 1, 1)
+        _add_col(Q, t, t + 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,25 @@ def test_a_body_past_its_budget_fails_at_the_budget():
     assert time.monotonic() - start < 1
 
 
+def test_a_body_expiring_in_a_nested_call_fails_from_within():
+    def spin(until):
+        while time.monotonic() < until:
+            pass
+
+    start = time.monotonic()
+    with pytest.raises(pytest.fail.Exception, match="budget of 0.2s") as failure:
+        with within(0.2):
+            spin(start + 3)
+    assert time.monotonic() - start < 1
+    # pytest formats the failure without the frame the alarm interrupted
+    assert failure.value.__suppress_context__
+    tb, names = failure.value.__traceback__, []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert "spin" not in names and names[-1] == "within"
+
+
 def test_the_outer_handler_and_timer_are_restored():
     def outer(signum, frame):
         raise AssertionError("outer timer fired")

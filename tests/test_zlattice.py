@@ -148,7 +148,7 @@ class TestSnfAgainstPivotEngine:
     def test_random_40x40_within_budget(self):
         rng = random.Random(0)
         M = [[rng.randint(-50, 50) for _ in range(40)] for _ in range(40)]
-        with within(1):
+        with within(0.5):
             S, P, Q = zl.snf(M)
         assert zl.mat_mul(zl.mat_mul(P, M), Q) == S
         assert max(abs(x).bit_length() for T in (P, Q) for row in T for x in row) < 2000
