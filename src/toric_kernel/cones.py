@@ -448,7 +448,14 @@ def _reducible(g, v, kept):
 
 
 def hilbert_basis(sigma: Cone) -> HilbertBasis:
-    """The Hilbert basis of sigma cap Z^n for a pointed cone sigma.
+    """The Hilbert basis of sigma cap Z^n for a pointed cone sigma: all of
+    ``_hilbert_basis_iter``."""
+    return HilbertBasis(_hilbert_basis_iter(sigma))
+
+
+def _hilbert_basis_iter(sigma: Cone):
+    """The elements of the Hilbert basis of sigma cap Z^n, sigma pointed,
+    one at a time, each final when it is yielded.
 
     Candidates are the rays plus the fundamental-parallelepiped points of
     the simplicial cones of one pulling triangulation of sigma. A
@@ -456,19 +463,23 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
     sigma for some irreducible a. The grade g, the sum of the facet
     normals, is positive on sigma minus 0, so then g(a) < g(c):
     candidates are reduced in grade order, each against the kept
-    elements of lower grade only (Bruns-Ichim, the Normaliz reduction).
+    elements of lower grade only (Bruns-Ichim, the Normaliz reduction),
+    and that is the order they are yielded in. A cone of lower dimension
+    d yields those of its image in Z^d, mapped back through the basis B
+    of the saturated lattice of its span.
     """
     if not sigma.is_pointed:
         raise ValueError("Hilbert basis requires a pointed cone")
     n = sigma.ambient_dim
     d = sigma.dim
     if d == 0:
-        return HilbertBasis([])
+        return
     R = sigma.rays()
     if d < n:
         coords, B, _, _ = zl.lattice_split(sigma.generators, n)
-        inner = hilbert_basis(cone([zl.mat_vec(coords, r) for r in R], d))
-        return HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors])
+        for v in _hilbert_basis_iter(cone([zl.mat_vec(coords, r) for r in R], d)):
+            yield zl.mat_vec(B, v)
+        return
     normals = sigma.facet_normals
     gens = sigma.generators
     candidates = {tuple(r) for r in R}
@@ -481,12 +492,11 @@ def hilbert_basis(sigma: Cone) -> HilbertBasis:
         v = [sum(map(mul, m, c)) for m in normals]
         graded.append((sum(v), v, c))
     graded.sort()
-    kept, basis = [], []
+    kept = []
     for g, v, c in graded:
         if not _reducible(g, v, kept):
             kept.append((g, v))
-            basis.append(c)
-    return HilbertBasis(basis)
+            yield c
 
 
 def semigroup_member(gens, target):

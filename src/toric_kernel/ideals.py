@@ -17,11 +17,14 @@ discarding every basis element whose leading term still involves t.
 Two Buchberger engines share one pair routine (``_pair_loop``), which
 sees only leading monomials. ``buchberger`` serves every ideal on
 primitive integer term dicts, fraction-free (Becker-Weispfenning,
-*Groebner Bases*, 10.1); only its output is made monic. ``_binomial_basis``
-serves ``toric_ideal``: there every basis element is a pure difference
-binomial x^lead - x^tail, kept as the pair (lead, tail), and reduction
-rewrites one monomial at a time, m -> m - lead + tail (Sturmfels,
-*Groebner Bases and Convex Polytopes*, ch. 12).
+*Groebner Bases*, 10.1); only its output is made monic. Its division
+takes the terms largest first from one sorted work list, and
+``membership`` divides by the elements with minimal leads, a Groebner
+basis that is not inter-reduced. ``_binomial_basis`` serves
+``toric_ideal``: there every basis element is a pure difference binomial
+x^lead - x^tail, kept as the pair (lead, tail), and reduction rewrites
+one monomial at a time, m -> m - lead + tail (Sturmfels, *Groebner Bases
+and Convex Polytopes*, ch. 12).
 
 Within an engine call each monomial is one int with a field per
 variable and a guard bit atop each field (``_packing._Packing``), so
@@ -36,6 +39,7 @@ already in the ideal of those before it never reaches the pair loop.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -247,14 +251,23 @@ def _reduce_terms(terms: dict, lead: list, P: _Packing) -> tuple:
     lm divides it: with g = gcd(c, lc), the rest r of the work becomes
     (lc/g) r - (c/g) x^(e - lm) times the divisor. A positive scale never
     changes which terms cancel, so the remainder over Q is remainder / scale.
+
+    The terms are taken largest first from one list of (key, monomial)
+    pairs, sorted once and popped from its end (the division of
+    Monagan-Pearce, CASC 2007, with a sorted list for the heap): a term a
+    reduction creates is below the one reduced, so it is inserted in
+    place; a cancelled term leaves a stale entry, which the pop skips.
     """
     G = P.guard
-    work, remainder, scale = dict(terms), {}, 1
+    coeffs, remainder, scale = dict(terms), {}, 1
+    work = sorted((P[e], e) for e in coeffs)
     while work:
-        e = max(work, key=P.__getitem__)
+        e = work.pop()[1]
+        c = coeffs.pop(e, 0)
+        if not c:   # cancelled after it was listed
+            continue
         if e & G:   # every term that outgrew its field leads once, or cancels
             raise _Overflow
-        c = work.pop(e)
         eG = e | G
         for le, lc, gterms in lead:
             if (eG - le) & G == G:
@@ -262,18 +275,22 @@ def _reduce_terms(terms: dict, lead: list, P: _Packing) -> tuple:
                 a, q = lc // g, c // g
                 if a != 1:
                     scale *= a
-                    work = {t: x * a for t, x in work.items()}
+                    coeffs = {t: x * a for t, x in coeffs.items()}
                     remainder = {t: x * a for t, x in remainder.items()}
                 shift = e - le
                 for ge, gc in gterms.items():
                     if ge == le:
                         continue
                     t = ge + shift
-                    s = work.get(t, 0) - q * gc
-                    if s:
-                        work[t] = s
+                    if t in coeffs:
+                        s = coeffs[t] - q * gc
+                        if s:
+                            coeffs[t] = s
+                        else:
+                            del coeffs[t]
                     else:
-                        work.pop(t, None)
+                        coeffs[t] = -q * gc
+                        insort(work, (P[t], t))
                 break
         else:
             remainder[e] = c
@@ -389,11 +406,12 @@ def _pair_loop(initial, reduce_pair, P: _Packing) -> list:
     return list(minimal.values())
 
 
-def _groebner(gens, P: _Packing) -> list:
-    """Reduced Groebner basis of nonzero generators as ``_divisor``
-    tuples sorted by key. With g = gcd(lc_i, lc_j), the S-pair of f_i and
-    f_j is (lc_j/g) x^(T - lm_i) f_i - (lc_i/g) x^(T - lm_j) f_j, T the lcm
-    of the leading monomials; the pair loop is ``_pair_loop``."""
+def _minimal_basis(gens, P: _Packing) -> list:
+    """A Groebner basis of nonzero generators as ``_divisor`` tuples sorted
+    by key: the elements with minimal leads, not inter-reduced. With
+    g = gcd(lc_i, lc_j), the S-pair of f_i and f_j is
+    (lc_j/g) x^(T - lm_i) f_i - (lc_i/g) x^(T - lm_j) f_j, T the lcm of
+    the leading monomials; the pair loop is ``_pair_loop``."""
 
     def reduce_pair(i, j, T):
         (li, ci, fi), (lj, cj, fj) = cache[i], cache[j]
@@ -409,11 +427,16 @@ def _groebner(gens, P: _Packing) -> list:
         return cache[-1][0]
 
     cache = sorted((_divisor(P, g) for g in gens), key=lambda d: P[d[0]])
-    kept = _pair_loop([d[0] for d in cache], reduce_pair, P)
+    return [cache[k] for k in _pair_loop([d[0] for d in cache], reduce_pair, P)]
 
-    # inter-reduce; the leading monomials, hence the key order, stay
-    return [_divisor(P, _reduce_terms(cache[k][2], [cache[m] for m in kept if m != k], P)[0])
-            for k in kept]
+
+def _groebner(gens, P: _Packing) -> list:
+    """Reduced Groebner basis of nonzero generators as ``_divisor`` tuples
+    sorted by key: each element of ``_minimal_basis`` reduced by the others.
+    The leading monomials, hence the key order, stay."""
+    basis = _minimal_basis(gens, P)
+    return [_divisor(P, _reduce_terms(h, basis[:k] + basis[k + 1:], P)[0])
+            for k, (_, _, h) in enumerate(basis)]
 
 
 def buchberger(gens, order: MonomialOrder):
@@ -501,15 +524,19 @@ def _binomial_basis(pairs, key) -> list:
 
 
 def membership(f: SparsePolynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
-    """Whether f lies in the ideal generated by gens."""
+    """Whether f lies in the ideal generated by gens: whether f reduces to
+    zero by ``_minimal_basis``. Any Groebner basis, reduced or not, decides
+    membership (Becker-Weispfenning, *Groebner Bases*, ch. 5), so the basis
+    is not inter-reduced."""
     gens = list(gens)
     _check_nvars(f.nvars, gens)
     gens = [g for g in gens if not g.is_zero]
     if not gens or f.is_zero:
         return f.is_zero
 
-    return _packed(lambda P: not _reduce_terms(_divisor(P, f)[2], _groebner(gens, P), P)[0],
-                   [e for g in (f, *gens) for e in g.terms], order.key)
+    return _packed(
+        lambda P: not _reduce_terms(_divisor(P, f)[2], _minimal_basis(gens, P), P)[0],
+        [e for g in (f, *gens) for e in g.terms], order.key)
 
 
 def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:

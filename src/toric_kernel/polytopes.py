@@ -430,10 +430,12 @@ def is_very_ample(P: LatticePolytope) -> bool:
     very ample exactly when v + h lies in P for every such h and every
     vertex v (Cox-Little-Schenck, Toric Varieties, 2011, section 2.2;
     Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2).
+    The elements come one at a time, so the answer False comes at the
+    first h with v + h outside P, before the rest of the basis.
     """
     return all(P.contains(zl.vadd(v, h))
                for v, tangent in _tangent_cones(P)
-               for h in cn.hilbert_basis(tangent).vectors)
+               for h in cn._hilbert_basis_iter(tangent))
 
 
 def is_smooth(P: LatticePolytope) -> bool:

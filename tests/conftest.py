@@ -10,12 +10,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import gcd
 
 import pytest
 
 from toric_kernel import cones as cn
 from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
+from toric_kernel._packing import _Overflow, _Packing
 from toric_kernel.zlattice import Matrix, copy_matrix, identity, shape
 from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
                                   _mono_mul)
@@ -620,6 +622,52 @@ def tuple_binomial_basis(pairs, key) -> list:
     tails[:] = [tails[k] for k in kept]
     masks[:] = [masks[k] for k in kept]
     return [(a, normal(b)) for a, b in zip(leads, tails)]
+
+
+# ---------------------------------------------------------------------------
+# the division of the fraction-free engine before it took its terms from one
+# sorted list: ``old_reduce_terms`` is ``ideals._reduce_terms`` as it was when
+# each step scanned the whole work dict for its largest term, unchanged apart
+# from its name
+
+def old_reduce_terms(terms: dict, lead: list, P: _Packing) -> tuple:
+    """(remainder, scale): division of packed integer terms by divisors.
+
+    A term c x^e is reduced by the first divisor, in list order, whose lead
+    lm divides it: with g = gcd(c, lc), the rest r of the work becomes
+    (lc/g) r - (c/g) x^(e - lm) times the divisor. A positive scale never
+    changes which terms cancel, so the remainder over Q is remainder / scale.
+    """
+    G = P.guard
+    work, remainder, scale = dict(terms), {}, 1
+    while work:
+        e = max(work, key=P.__getitem__)
+        if e & G:   # every term that outgrew its field leads once, or cancels
+            raise _Overflow
+        c = work.pop(e)
+        eG = e | G
+        for le, lc, gterms in lead:
+            if (eG - le) & G == G:
+                g = gcd(c, lc)
+                a, q = lc // g, c // g
+                if a != 1:
+                    scale *= a
+                    work = {t: x * a for t, x in work.items()}
+                    remainder = {t: x * a for t, x in remainder.items()}
+                shift = e - le
+                for ge, gc in gterms.items():
+                    if ge == le:
+                        continue
+                    t = ge + shift
+                    s = work.get(t, 0) - q * gc
+                    if s:
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[e] = c
+    return remainder, scale
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,12 @@ def test_thin_simplex_normal_within_budget():
     T = hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 10000]])
     with within(2):
         assert not is_normal(T)
+
+
+def test_thin_simplex_not_very_ample_within_budget():
+    # the tangent cone at 0 has about 10,000 Hilbert basis elements; the
+    # answer comes at the first one that leaves the simplex, before the rest
+    # of that basis is reduced (about 17 s when the whole basis came first)
+    T = hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 10000]])
+    with within(1):
+        assert not is_very_ample(T)

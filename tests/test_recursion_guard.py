@@ -15,7 +15,7 @@ PACKAGE = Path(toric_kernel.__file__).resolve().parent
 
 ALLOWED = {
     "cones.pulling_triangulation": "one level per dimension of the face",
-    "cones.hilbert_basis": "one level: the inner call is on a full-dimensional cone",
+    "cones._hilbert_basis_iter": "one level: the inner call is on a full-dimensional cone",
     "cli._digits": "logarithmic in the bit length: each call halves the digit count",
 }
 
