@@ -628,10 +628,6 @@ def distinguished_point(sigma: Cone) -> DistinguishedPoint:
     return DistinguishedPoint(gen_set, values)
 
 
-def is_fixed_point(sigma: Cone) -> bool:
-    return sigma.dim == sigma.ambient_dim
-
-
 def _separates(m, c1: Cone, c2: Cone) -> bool:
     """Whether m >= 0 on c1, m <= 0 on c2, and c1 and c2 meet m-perp in
     the same face, which is then c1 cap c2.

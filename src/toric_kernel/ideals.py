@@ -72,10 +72,6 @@ class MonomialOrder:
         k = self.block
         return (_grevlex_key(exps[:k]), _grevlex_key(exps[k:]))
 
-    def sorted_terms(self, f: "SparsePolynomial"):
-        """Terms of f as (exponent, coefficient) pairs, largest first."""
-        return sorted(f.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
-
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
                 and self.kind == other.kind and self.block == other.block)
@@ -207,11 +203,6 @@ class SparsePolynomial(LaurentPolynomial):
             raise ValueError("the zero polynomial has no leading term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
@@ -557,49 +548,6 @@ def same_ideal(gens_a, gens_b, order: MonomialOrder = GREVLEX) -> bool:
 # ---------------------------------------------------------------------------
 # saturation and toric ideals
 
-def saturate(gens, varset):
-    """Generators of the quotient I : (prod of the chosen variables)^infinity.
-
-    varset holds 0-based variable indices. One auxiliary variable t is
-    adjoined in front together with t * prod - 1; the t-free part of a
-    Groebner basis under the block order eliminating t generates the
-    saturation. The output is the reduced graded-reverse-lex basis.
-    """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return []
-    nvars = gens[0].nvars
-    varset = sorted(set(varset))
-    if varset and not (0 <= varset[0] and varset[-1] < nvars):
-        raise ValueError("variable index out of range")
-    if not varset:
-        return buchberger(gens, GREVLEX)
-
-    shifted = [SparsePolynomial(nvars + 1, {(0,) + e: c for e, c in g.terms.items()})
-               for g in gens]
-    prod = [0] * (nvars + 1)
-    prod[0] = 1
-    for i in varset:
-        prod[i + 1] = 1
-    trick = SparsePolynomial(nvars + 1, {tuple(prod): Fraction(1),
-                                         (0,) * (nvars + 1): Fraction(-1)})
-    basis = buchberger(shifted + [trick], elimination_block(1))
-    out = []
-    for g in basis:
-        if g.leading(elimination_block(1))[0][0] == 0:
-            assert all(e[0] == 0 for e in g.terms)
-            out.append(SparsePolynomial(nvars, {e[1:]: c for e, c in g.terms.items()}))
-    return out
-
-
-def lattice_binomial(nvars: int, vector) -> SparsePolynomial:
-    """x^{v+} - x^{v-} for an integer vector v."""
-    pos = tuple(max(v, 0) for v in vector)
-    neg = tuple(max(-v, 0) for v in vector)
-    return SparsePolynomial(nvars, {pos: Fraction(1)}) - \
-        SparsePolynomial(nvars, {neg: Fraction(1)})
-
-
 class _SaturationOrder:
     """Weighted reverse-lex order making one chosen variable the smallest.
 
@@ -701,9 +649,9 @@ def toric_ideal(A: zl.Matrix):
     the ideal with the saturated variables inverted: x^a - x^b in the
     ideal with every variable of b saturated makes every variable of a
     such a unit, and saturating by a unit changes nothing. Without a
-    positive grading, one basis under the block order eliminating an
-    auxiliary t, with t * x_1 * ... * x_s - 1 adjoined, gives the
-    saturation as its t-free part (the method of ``saturate``).
+    positive grading, the saturation is an elimination: adjoin an
+    auxiliary t and t * x_1 * ... * x_s - 1, take one basis under the
+    block order that eliminates t, and keep its t-free elements.
     """
     n, s = zl.shape(A)
     if s == 0:

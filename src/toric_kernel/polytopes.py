@@ -76,11 +76,6 @@ def hull(points) -> LatticePolytope:
     return LatticePolytope(cn.cone(gens, len(gens[0])))
 
 
-def newton_polytope(exponents) -> LatticePolytope:
-    """Convex hull of a set of exponent vectors."""
-    return hull(exponents)
-
-
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")

@@ -262,18 +262,6 @@ class AbelianGroupPresentation:
         self.free_rank = int(free_rank)
         self.invariant_factors = factors
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self):
-        """Group order, or None when infinite."""
-        return None if self.free_rank else math.prod(self.invariant_factors)
-
     def __eq__(self, other):
         return (isinstance(other, AbelianGroupPresentation)
                 and self.free_rank == other.free_rank
@@ -384,21 +372,10 @@ def _integral(sol):
     return sol[0] if sol is not None and sol[1] == 1 else None
 
 
-def integer_solver(M: Matrix):
-    """Factor M once; return a function b -> x solving M x = b over Z.
-
-    The function returns an integer solution, or None when none exists.
-    One Hermite normal form of M serves every right-hand side, so a
-    batch of solves against one matrix costs one HNF.
-    """
-    solve = _hnf_solver(*hnf(M))
-    return lambda b: _integral(solve(b))
-
-
 def solve_integer(M: Matrix, b: list):
     """An integer solution x of M x = b, or None when none exists."""
-    # integer_solver(M)(b), with the HNF taken here so that a trace of
-    # this call shows it as a direct child
+    # the HNF is taken here, not in a helper, so that a trace of this
+    # call shows it as a direct child
     return _integral(_hnf_solver(*hnf(M))(b))
 
 

@@ -19,8 +19,9 @@ from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
 from toric_kernel._packing import _Overflow, _Packing
 from toric_kernel.zlattice import Matrix, copy_matrix, identity, shape
-from toric_kernel.ideals import (MonomialOrder, SparsePolynomial, _check_nvars,
-                                  _mono_mul)
+from toric_kernel.ideals import (GREVLEX, MonomialOrder, SparsePolynomial,
+                                  _check_nvars, _mono_mul, buchberger,
+                                  elimination_block)
 
 
 class _Expired(BaseException):
@@ -804,6 +805,54 @@ def fraction_same_ideal(gens_a, gens_b, order):
     basis_b = fraction_buchberger(gb, order)
     return (all(fraction_normal_form(g, basis_b, order).is_zero for g in basis_a)
             and all(fraction_normal_form(g, basis_a, order).is_zero for g in basis_b))
+
+
+# ---------------------------------------------------------------------------
+# saturation by elimination on the generic engine, the oracle of toric_ideal:
+# ``ideals.saturate`` and ``ideals.lattice_binomial`` as they were in the
+# library, unchanged; no code there called them
+
+def saturate(gens, varset):
+    """Generators of the quotient I : (prod of the chosen variables)^infinity.
+
+    varset holds 0-based variable indices. One auxiliary variable t is
+    adjoined in front together with t * prod - 1; the t-free part of a
+    Groebner basis under the block order eliminating t generates the
+    saturation. The output is the reduced graded-reverse-lex basis.
+    """
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    nvars = gens[0].nvars
+    varset = sorted(set(varset))
+    if varset and not (0 <= varset[0] and varset[-1] < nvars):
+        raise ValueError("variable index out of range")
+    if not varset:
+        return buchberger(gens, GREVLEX)
+
+    shifted = [SparsePolynomial(nvars + 1, {(0,) + e: c for e, c in g.terms.items()})
+               for g in gens]
+    prod = [0] * (nvars + 1)
+    prod[0] = 1
+    for i in varset:
+        prod[i + 1] = 1
+    trick = SparsePolynomial(nvars + 1, {tuple(prod): Fraction(1),
+                                         (0,) * (nvars + 1): Fraction(-1)})
+    basis = buchberger(shifted + [trick], elimination_block(1))
+    out = []
+    for g in basis:
+        if g.leading(elimination_block(1))[0][0] == 0:
+            assert all(e[0] == 0 for e in g.terms)
+            out.append(SparsePolynomial(nvars, {e[1:]: c for e, c in g.terms.items()}))
+    return out
+
+
+def lattice_binomial(nvars: int, vector) -> SparsePolynomial:
+    """x^{v+} - x^{v-} for an integer vector v."""
+    pos = tuple(max(v, 0) for v in vector)
+    neg = tuple(max(-v, 0) for v in vector)
+    return SparsePolynomial(nvars, {pos: Fraction(1)}) - \
+        SparsePolynomial(nvars, {neg: Fraction(1)})
 
 
 # ---------------------------------------------------------------------------

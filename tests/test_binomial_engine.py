@@ -11,7 +11,7 @@ verbatim in substance: one ``buchberger`` per variable under
 ``_SaturationOrder``, each element divided by the variable's largest
 common power, then GREVLEX. ``all_variable_toric_ideal`` is the graded
 path before it skipped the variables ``_unit_closure`` shows to be
-units, and ``saturate`` is the oracle of the non-pointed path.
+units, and ``saturate`` in conftest is the oracle of the non-pointed path.
 """
 
 import random
@@ -19,8 +19,9 @@ import random
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import (fraction_buchberger, fraction_membership, scanned_first_divisor,
-                      tuple_binomial_basis, tuple_divides, tuple_lcm, tuple_mask, within)
+from conftest import (fraction_buchberger, fraction_membership, lattice_binomial,
+                      saturate, scanned_first_divisor, tuple_binomial_basis,
+                      tuple_divides, tuple_lcm, tuple_mask, within)
 from toric_kernel import _packing as pk
 from toric_kernel import cones as cn
 from toric_kernel import ideals as il
@@ -39,7 +40,7 @@ def divide_out(g, i):
 
 def generic_toric_ideal(A):
     s = len(A[0])
-    gens = [il.lattice_binomial(s, v) for v in zl.columns(zl.kernel_basis(A))]
+    gens = [lattice_binomial(s, v) for v in zl.columns(zl.kernel_basis(A))]
     if not gens:
         return []
     weights = il._positive_grading(A)
@@ -140,9 +141,9 @@ class TestToricIdealAgainstGenericPath:
     def test_non_pointed_configurations(self, cols):
         A = zl.from_columns(cols, rows=len(cols[0]))
         assume(il._positive_grading(A) is None)
-        gens = [il.lattice_binomial(len(cols), v)
+        gens = [lattice_binomial(len(cols), v)
                 for v in zl.columns(zl.kernel_basis(A))]
-        expected = il.saturate(gens, range(len(cols))) if gens else []
+        expected = saturate(gens, range(len(cols))) if gens else []
         assert il.toric_ideal(A) == expected
 
 
@@ -198,7 +199,7 @@ class TestUnitClosure:
             reduced = il.buchberger(gens, GREVLEX)
             for j in range(s):
                 if sat >> j & 1:
-                    assert il.saturate(gens, [j]) == reduced
+                    assert saturate(gens, [j]) == reduced
 
 
 class TestSaturationPasses:
@@ -393,7 +394,7 @@ class TestPackedGenericEngine:
             for k in range(24):
                 A = toric_configuration(rng, k, 3)
                 s = len(A[0])
-                gens = [il.lattice_binomial(s, v) for v in zl.columns(zl.kernel_basis(A))]
+                gens = [lattice_binomial(s, v) for v in zl.columns(zl.kernel_basis(A))]
                 # the toric ideal's elements lie in the lattice ideal only
                 # when it is already saturated
                 probes = il.toric_ideal(A)[:2]
@@ -532,7 +533,7 @@ class TestWidthGrowth:
                     for _ in range(3)]
         cases = []
         for A in configs:
-            gens = [il.lattice_binomial(len(A[0]), v) for v in zl.columns(zl.kernel_basis(A))]
+            gens = [lattice_binomial(len(A[0]), v) for v in zl.columns(zl.kernel_basis(A))]
             toric = tuple_toric_ideal(A)
             cases.append((A, gens, toric, fraction_buchberger(gens, GREVLEX),
                           [fraction_membership(f, gens, GREVLEX) for f in toric[:3]]))

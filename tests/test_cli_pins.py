@@ -77,12 +77,10 @@ def test_pinned_output(outcomes, i):
 def test_every_command_has_three_successful_requests():
     ok = Counter(e["command"] for e in PINS if e["exit"] == 0)
     assert {e["command"] for e in PINS} == set(cli._HANDLERS)
-    assert len(cli._HANDLERS) == 47
     assert {c: ok[c] for c in cli._HANDLERS if ok[c] < 3} == {}
 
 
 def test_every_group_has_schema_and_library_errors():
     groups = {c.split()[0] for c in cli._HANDLERS}
-    assert len(groups) == 7
     failing = {(e["command"].split()[0], e["exit"]) for e in PINS if e["exit"]}
     assert failing == {(g, code) for g in groups for code in (1, 2)}

@@ -307,12 +307,12 @@ class TestDistinguished:
     def test_full_dim_all_zero(self):
         dp = cn.distinguished_point(C((1, 0), (0, 1)))
         assert set(dp.values) == {0}
-        assert cn.is_fixed_point(C((1, 0), (0, 1)))
+        assert C((1, 0), (0, 1)).is_full_dim
 
     def test_zero_cone_identity(self):
         dp = cn.distinguished_point(cn.cone([], 2))
         assert set(dp.values) == {1}
-        assert not cn.is_fixed_point(cn.cone([], 2))
+        assert not cn.cone([], 2).is_full_dim
 
     def test_single_ray(self):
         dp = cn.distinguished_point(C((1, 0)))

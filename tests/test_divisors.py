@@ -266,7 +266,7 @@ class TestPicardGroup:
         assert len(calls) == 2
 
     def test_affine_wedge_trivial(self):
-        assert dv.picard_group(WEDGE).is_trivial
+        assert dv.picard_group(WEDGE) == zl.AbelianGroupPresentation(0)
 
     def test_wedge_without_top_cone(self):
         assert dv.picard_group(WEDGE_RAYS) == zl.AbelianGroupPresentation(0, (2,))

@@ -79,10 +79,9 @@ def old_halfspace_generators(constraints, n):
         return [], pointed_dual_rays(cons, n)
     _, P, _ = pivot_snf(K)
     pi = [list(P[i]) for i in range(ell, n)]
-    solve = zl.integer_solver(zl.transpose(pi))
     reduced = []
     for u in cons:
-        c = solve(u)
+        c = zl.solve_integer(zl.transpose(pi), u)
         if c is None:
             raise ValueError("constraint outside the quotient lattice")
         reduced.append(c)

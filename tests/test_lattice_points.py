@@ -37,8 +37,7 @@ def old_lattice_points(P):
         base = None
     else:
         L = span_lattice_basis([zl.vsub(v, x0) for v in P.vertices], n)
-        solve = zl.integer_solver(L)
-        ys = [solve(zl.vsub(v, x0)) for v in P.vertices]
+        ys = [zl.solve_integer(L, zl.vsub(v, x0)) for v in P.vertices]
         trans = []
         for u, a in P.facets:
             ut = zl.mat_vec(zl.transpose(L), u)

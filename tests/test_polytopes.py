@@ -25,7 +25,6 @@ from toric_kernel.polytopes import (
     lattice_points,
     minkowski_sum,
     mixed_volume,
-    newton_polytope,
     normalized_volume,
     project_full,
     volume,
@@ -313,7 +312,7 @@ class TestPredicates:
 class TestNewton:
     def test_newton_polytope(self):
         # supp(x^2 y + x y^2 + 1)
-        P = newton_polytope([[2, 1], [1, 2], [0, 0]])
+        P = hull([[2, 1], [1, 2], [0, 0]])
         assert P.vertices == [[0, 0], [1, 2], [2, 1]]
 
 

@@ -61,8 +61,7 @@ def old_hilbert_basis(sigma):
     R = sigma.rays()
     if d < n:
         B = span_lattice_basis(sigma.generators, n)
-        solve = zl.integer_solver(B)
-        R_proj = [solve(r) for r in R]
+        R_proj = [zl.solve_integer(B, r) for r in R]
         inner = old_hilbert_basis(cn.cone(R_proj, d))
         return cn.HilbertBasis([zl.mat_vec(B, v) for v in inner.vectors])
     candidates = {tuple(r) for r in R}
