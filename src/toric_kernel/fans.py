@@ -9,6 +9,9 @@ demand and never stored. Lattice maps are plain integer matrices
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, mul
+
 from . import cones as cn
 from . import zlattice as zl
 
@@ -76,6 +79,15 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
     rays, one maximal cone inside another, and a pair of cones whose
     intersection is not a common face. Pair errors name the
     lexicographically first offending pair, counting from 1.
+
+    Each pair is decided on the sign masks of the two cones over the
+    rays (_sign_masks), read once per cone off the facet normals its own
+    double description gave. One cone holds the other when the other's
+    rays lie in its inside mask. A common face is first tried with one
+    sum of facet normals (_meet_certified), which is a proof when it
+    succeeds; only the pairs it does not settle run the double
+    description of cones.meet_in_common_face, which decides them
+    exactly.
     """
     n = ambient
     prim, remap = [], []
@@ -114,15 +126,52 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
     for i in range(len(prim)):
         if i not in used:
             raise ValueError(f"ray {i + 1} is not used by any maximal cone")
+    signs = [_sign_masks(c, J, prim) for J, c in zip(sets, objs)]
     for a in range(len(sets)):
+        ra, _, ia = signs[a]
         for b in range(a + 1, len(sets)):
-            if objs[a].contains_cone(objs[b]) or objs[b].contains_cone(objs[a]):
+            rb, _, ib = signs[b]
+            if not rb & ~ia or not ra & ~ib:
                 raise ValueError(
                     f"maximal cone {a + 1} and maximal cone {b + 1} are nested")
-            if not cn.meet_in_common_face(objs[a], objs[b]):
+            if (not _meet_certified(signs[a], signs[b])
+                    and not cn.meet_in_common_face(objs[a], objs[b])):
                 raise ValueError(
                     f"maximal cones {a + 1} and {b + 1} do not intersect in a common face")
     return Fan(n, prim, sets, objs)
+
+
+def _sign_masks(c, J, rays):
+    """(own, normals, inside): the sign masks of the cone c on the rays
+    with indices J, as bitmasks over the fan's rays, bit i for rays[i].
+    own has the bits of J; normals has, for each facet normal u of c,
+    the pair (N, Z) of the masks of the rays r with u.r <= 0 and with
+    u.r = 0; and inside is the mask of the rays in c, those in Z or
+    outside N for every u. Python's ints make ~N, and so inside, have
+    every bit past the last ray set."""
+    normals, inside = [], -1
+    for u in c.facet_normals:
+        d = [sum(map(mul, u, r)) for r in rays]
+        N = sum(1 << i for i, x in enumerate(d) if x <= 0)
+        Z = sum(1 << i for i, x in enumerate(d) if not x)
+        normals.append((N, Z))
+        inside &= Z | ~N
+    return sum(1 << i for i in J), normals, inside
+
+
+def _meet_certified(a, b):
+    """Whether the sign masks a and b of two cones c1 and c2 prove that
+    they meet in a common face. The normals of c1 that are <= 0 on the
+    rays of c2, minus those of c2 that are <= 0 on the rays of c1, sum to
+    some m in dual(c1) cap -dual(c2). Each summand is >= 0 on c1 and
+    <= 0 on c2, so the rays tight on m are those in every summand's zero
+    mask. The answer is True when these tight rays of either cone lie in
+    both cones, which is what cones._separates(m, c1, c2) tests. False
+    means only that this m does not separate them."""
+    (ra, na, ia), (rb, nb, ib) = a, b
+    tight = reduce(and_, [Z for N, Z in na if not rb & ~N]
+                   + [Z for N, Z in nb if not ra & ~N], -1)
+    return not (ra | rb) & tight & ~(ia & ib)
 
 
 def _trusted_fan(rays, maximal_cones, ambient: int) -> Fan:
@@ -182,11 +231,14 @@ def _smallest_cone(F: Fan, vectors):
 
 
 def _named_cone(F: Fan, indices):
-    """The sorted ray indices, when they name a cone of F; else ValueError."""
+    """The sorted ray indices, when they name a cone of F; else ValueError.
+    The message counts the rays from 1, as the fan() messages and the
+    command line do."""
     ixs = tuple(sorted(indices))
     in_range = all(0 <= i < len(F.rays) for i in ixs)
     if not in_range or _smallest_cone(F, [F.rays[i] for i in ixs]) != ixs:
-        raise ValueError(f"ray indices {ixs} do not name a cone of the fan")
+        raise ValueError(
+            f"ray indices {tuple(i + 1 for i in ixs)} do not name a cone of the fan")
     return ixs
 
 

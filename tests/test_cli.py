@@ -716,6 +716,13 @@ class TestFanCommands:
         assert doc["fan"]["rays"] == [["1"], ["-1"]]
         assert doc["projection"] == [["0", "1"]]
 
+    def test_star_quotient_names_rays_from_one(self, capsys):
+        doc = call(capsys, "fan star-quotient", {"fan": P2, "cone": [1, 2, 3]}, expect=1)
+        assert doc["error"] == "ray indices (1, 2, 3) do not name a cone of the fan"
+        with pytest.raises(ValueError) as err:
+            fn.star_quotient_fan(fn.fan(P2["rays"], [[0, 1], [1, 2], [0, 2]], 2), (0, 3))
+        assert str(err.value) == "ray indices (1, 4) do not name a cone of the fan"
+
     def test_map_into_the_zero_lattice_is_compatible(self, capsys):
         doc = call(capsys, "fan compatible",
                    {"map": [], "source": P1,
@@ -905,18 +912,18 @@ STAR_QUOTIENT_PINS = [
     (1, [7, 8], 0, "7cffea9c373de2e315e9c83a0b40f28ad06a208ffd095087761fe6987b11971c"),
     (1, [2, 1], 0, "7cffea9c373de2e315e9c83a0b40f28ad06a208ffd095087761fe6987b11971c"),
     (1, [3, 4, 7, 8], 0, "7727e9240554f80a8cdedc926c2ca856584f8974bf5d53d113c5b82ff77fdaf1"),
-    (1, [1, 4], 1, "242388529b55b41bfc63e71ab2da1e890503e7179ad5c2e2b930b508fccd5ebc"),
-    (1, [1, 1], 1, "6da56bd1a09533fbe679677ea78a12b4b2c455da121b366073ea730224daf6b9"),
+    (1, [1, 4], 1, "aac7c90eb4720d3f11490e64e2a24e5be6a5315129fd584ae8daae6590c1e899"),
+    (1, [1, 1], 1, "53beb08515a0e045662157d454a6cfbac4853e67903b3102a8e2d8ce9882a8dc"),
     (2, [], 0, "9743469be6813aaedf408e038f982ab724b42468ecd6601ff7e4fcce5ad8a727"),
     (2, [1], 0, "5030f412cc053b524dd0549dd2bde3348a312123abd4431f2c495333f5558787"),
     (2, [6, 7], 0, "4833f2afb59a4d525849c97b7e28400bf886517e8d543b57946eeeeaf14cd2ad"),
     (2, [1, 6, 7], 0, "7727e9240554f80a8cdedc926c2ca856584f8974bf5d53d113c5b82ff77fdaf1"),
-    (2, [1, 3], 1, "6e68451e256bb0b9f9b1df04fa16bb79712d5b91284acdf0865036d7dc3f575d"),
+    (2, [1, 3], 1, "37b9f6e2ff0d08b50584e5f8ba92e587f113179f762a4c95b0fb853e5c8952a8"),
     (3, [], 0, "b40f1ff9698df78db893e0910f1f49bd02509b42ab42d9cc388c5b199785ca54"),
     (3, [1], 0, "889e3a50a11f0f227376b13d20025a5f8325898d386a1bc517bbdc237d27db9d"),
     (3, [5, 6], 0, "837639dd8b87762c61e6a265197a187b8aedf9c311142b94851fc7f4629ab821"),
     (3, [3, 5, 6], 0, "7727e9240554f80a8cdedc926c2ca856584f8974bf5d53d113c5b82ff77fdaf1"),
-    (3, [1, 4], 1, "242388529b55b41bfc63e71ab2da1e890503e7179ad5c2e2b930b508fccd5ebc"),
+    (3, [1, 4], 1, "aac7c90eb4720d3f11490e64e2a24e5be6a5315129fd584ae8daae6590c1e899"),
 ]
 
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -135,10 +136,26 @@ class TestNoPairValidation:
             fn.product_fan(S, fn.normal_fan(pt.hull([[0], [1]])))
             fn.star_quotient_fan(S, S.maximal_cones[0][:1])
         assert m.call_count == 0
-        with self.spy() as m:  # the spy sees the validation when it runs
-            fn.fan(F.rays, F.maximal_cones, 3)
-        n = len(F.maximal_cones)
-        assert m.call_count == n * (n - 1) // 2
+        # fan() still validates pairs: the first cone, enlarged by a ray
+        # of the third, overlaps the third
+        cones = [list(I) for I in F.maximal_cones]
+        assert cones[0] == [2, 3, 5] and 4 in cones[2]
+        with pytest.raises(ValueError) as err:
+            fn.fan(F.rays, [cones[0] + [4]] + cones[1:], 3)
+        assert str(err.value) == "maximal cones 1 and 3 do not intersect in a common face"
+
+    def test_sign_masks_settle_most_pairs(self):
+        """fan() on the 38-ray normal fan of 40 points in [-6,6]^3
+        (random.Random(8)) sends at most 10 of its 210 pairs of maximal
+        cones to the double description."""
+        rng = random.Random(8)
+        F = fn.normal_fan(pt.hull([[rng.randint(-6, 6) for _ in range(3)]
+                                   for _ in range(40)]))
+        assert (len(F.rays), len(F.maximal_cones)) == (38, 21)
+        with self.spy() as m:
+            G = fn.fan(F.rays, F.maximal_cones, 3)
+        assert m.call_count <= 10
+        assert_same_fan(F, G)
 
     def test_bkk_count(self):
         system = random_system(random.Random(1), 3, 7, 3)

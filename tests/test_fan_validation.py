@@ -1,18 +1,24 @@
 """Fan construction without redundant double descriptions.
 
-``fans.fan`` decides whether two maximal cones meet in a common face from
-one double description, at a relative-interior point of
-dual(c1) cap -dual(c2) (``cones.meet_in_common_face``);
-``cones.separating_character`` tests its candidates with the same
-predicate (``cones._separates``); and ``cones.halfspace_generators``
-skips the kernel basis when the constraints have full rank. The oracles
-below are the code these replaced: ``intersect`` plus two ``is_face_of``
-per pair (also patched into ``fans.fan`` for the old ``fan()``), and
-verbatim copies of the cone-equality ``separating_character`` and of the
-Smith-transform kernel path of ``halfspace_generators``, which the HNF
-path matches up to a change of lineality basis.
+``fans.fan`` decides each pair of maximal cones on ray-index sign masks
+(``fans._sign_masks``): nesting from the cones' inside masks, and a
+common face from a sum of facet normals m in dual(c1) cap -dual(c2)
+whose tight rays are read off the zero masks; only the pairs that
+certificate does not settle run one double description, at a
+relative-interior point of dual(c1) cap -dual(c2)
+(``cones.meet_in_common_face``). ``cones.separating_character`` tests
+its candidates with the same predicate (``cones._separates``); and
+``cones.halfspace_generators`` skips the kernel basis when the
+constraints have full rank. The oracles below are the code these
+replaced: ``pairwise_fan``, the pair loop of two ``contains_cone`` and
+one ``meet_in_common_face`` on every pair; ``intersect`` plus two
+``is_face_of`` per pair; and verbatim copies of the cone-equality
+``separating_character`` and of the Smith-transform kernel path of
+``halfspace_generators``, which the HNF path matches up to a change of
+lineality basis.
 """
 
+import random
 from unittest import mock
 
 import pytest
@@ -21,6 +27,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
 from toric_kernel import fans as fn
+from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
 
 
@@ -30,10 +37,63 @@ def old_meet_in_common_face(c1, c2):
 
 
 def old_fan(rays, maximal_cones, ambient):
-    """``fans.fan`` deciding each pair with ``intersect`` plus two
-    ``is_face_of``, as it did before."""
+    """``fans.fan`` with ``intersect`` plus two ``is_face_of`` in place of
+    ``meet_in_common_face``. That call is now only the fallback for the
+    pairs the sign-mask certificate does not settle, so this is no
+    oracle for ``fans.fan``; ``pairwise_fan`` is."""
     with mock.patch.object(cn, "meet_in_common_face", old_meet_in_common_face):
         return fn.fan(rays, maximal_cones, ambient)
+
+
+def pairwise_fan(rays, maximal_cones, n):
+    """``fans.fan`` as it was before the sign masks: the same checks, and
+    on every pair of maximal cones two ``contains_cone`` scans and one
+    ``meet_in_common_face``."""
+    prim, remap = [], []
+    for r in rays:
+        r = [int(x) for x in r]
+        if len(r) != n:
+            raise ValueError("ray length does not match the ambient dimension")
+        p = zl.primitive(r)
+        if p in prim:
+            remap.append(prim.index(p))
+        else:
+            remap.append(len(prim))
+            prim.append(p)
+    sets = []
+    for I in maximal_cones:
+        J = set()
+        for i in I:
+            i = int(i)
+            if not 0 <= i < len(remap):
+                raise ValueError(f"ray index {i} out of range")
+            J.add(remap[i])
+        J = tuple(sorted(J))
+        if J not in sets:
+            sets.append(J)
+    if not sets:
+        raise ValueError("a fan needs at least one cone")
+    objs = []
+    for k, J in enumerate(sets):
+        c = cn.cone([prim[i] for i in J], n)
+        if not c.is_pointed:
+            raise ValueError(f"maximal cone {k + 1} is not pointed")
+        if {tuple(r) for r in c.rays()} != {tuple(prim[i]) for i in J}:
+            raise ValueError(f"maximal cone {k + 1} lists a non-extremal generator")
+        objs.append(c)
+    used = {i for J in sets for i in J}
+    for i in range(len(prim)):
+        if i not in used:
+            raise ValueError(f"ray {i + 1} is not used by any maximal cone")
+    for a in range(len(sets)):
+        for b in range(a + 1, len(sets)):
+            if objs[a].contains_cone(objs[b]) or objs[b].contains_cone(objs[a]):
+                raise ValueError(
+                    f"maximal cone {a + 1} and maximal cone {b + 1} are nested")
+            if not cn.meet_in_common_face(objs[a], objs[b]):
+                raise ValueError(
+                    f"maximal cones {a + 1} and {b + 1} do not intersect in a common face")
+    return fn.Fan(n, prim, sets, objs)
 
 
 def old_separating_character(c1, c2):
@@ -193,12 +253,93 @@ def fan_outcome(make, rays, maximal, n):
     return kind, (F.rays, F.maximal_cones)
 
 
+def seeded_fans(count):
+    """(rays, maximal cones, n) for 2 * count inputs: the normal fans of
+    random full-dimensional 2-, 3- and 4-polytopes, each followed by a
+    copy in which one ray g of one cone is tilted to 2g + h, h a ray
+    outside that cone, so that the cone overlaps a neighbour."""
+    for s in range(count):
+        rng = random.Random(s)
+        n = 2 + s % 3
+        while True:
+            P = pt.hull([[rng.randint(-3, 3) for _ in range(n)]
+                         for _ in range(n + rng.randint(2, 5))])
+            if P.is_full_dim:
+                break
+        F = fn.normal_fan(P)
+        rays = F.rays
+        yield rays, [list(I) for I in F.maximal_cones], n
+        cones = [list(I) for I in F.maximal_cones]
+        j = rng.randrange(len(cones))
+        g = rng.choice(cones[j])
+        h = rng.choice([i for i in range(len(rays)) if i not in cones[j]])
+        cones[j] = [i for i in cones[j] if i != g] + [len(rays)]
+        yield rays + [zl.vadd(zl.vscale(2, rays[g]), rays[h])], cones, n
+
+
+SEEDED_FANS = list(seeded_fans(120))
+
+
 class TestFanValidation:
     @seed(424242)
     @settings(max_examples=300, deadline=None)
     @given(fan_inputs())
     def test_same_verdicts_and_messages(self, args):
+        assert fan_outcome(fn.fan, *args) == fan_outcome(pairwise_fan, *args)
         assert fan_outcome(fn.fan, *args) == fan_outcome(old_fan, *args)
+
+    def test_seeded_normal_fans_and_overlaps(self):
+        verdicts = []
+        for args in SEEDED_FANS:
+            got = fan_outcome(fn.fan, *args)
+            assert got == fan_outcome(pairwise_fan, *args), args
+            verdicts.append(got[0] if got[0] == "ok" else got[1].split()[-1])
+        # every normal fan is a fan; the overlaps reach both pair checks
+        assert len(verdicts) == 240
+        assert verdicts[::2] == ["ok"] * 120
+        assert verdicts.count("face") >= 60 and verdicts.count("nested") >= 5
+
+    def test_certificate_is_the_separation_test(self):
+        """On every pair of cones of the seeded inputs, _meet_certified
+        answers cones._separates(m, c1, c2) for m the sum it describes,
+        and then the cones meet in a common face."""
+        certified = 0
+        for rays, cones, n in SEEDED_FANS:
+            rays = [zl.primitive(r) for r in rays]
+            objs = [cn.cone([rays[i] for i in I], n) for I in cones]
+            signs = [fn._sign_masks(c, I, rays) for I, c in zip(cones, objs)]
+            for a in range(len(cones)):
+                for b in range(a + 1, len(cones)):
+                    (ra, na, _), (rb, nb, _) = signs[a], signs[b]
+                    m = [0] * n
+                    for u, (N, _) in zip(objs[a].facet_normals, na):
+                        if not rb & ~N:
+                            m = zl.vadd(m, u)
+                    for v, (N, _) in zip(objs[b].facet_normals, nb):
+                        if not ra & ~N:
+                            m = zl.vsub(m, v)
+                    ok = fn._meet_certified(signs[a], signs[b])
+                    assert ok == cn._separates(m, objs[a], objs[b])
+                    if ok:
+                        certified += 1
+                        assert cn.meet_in_common_face(objs[a], objs[b])
+        assert certified >= 3000
+
+    def test_sign_masks_match_dot_products(self):
+        for rays, cones, n in SEEDED_FANS[:40]:
+            rays = [zl.primitive(r) for r in rays]
+            for I in cones:
+                c = cn.cone([rays[i] for i in I], n)
+                own, normals, inside = fn._sign_masks(c, I, rays)
+                assert own == sum(1 << i for i in set(I))
+                bits = range(len(rays))
+                assert [([i for i in bits if N >> i & 1], [i for i in bits if Z >> i & 1])
+                        for N, Z in normals] == [
+                    ([i for i in bits if zl.dot(u, rays[i]) <= 0],
+                     [i for i in bits if zl.dot(u, rays[i]) == 0])
+                    for u in c.facet_normals]
+                assert [i for i in bits if inside >> i & 1] == [
+                    i for i in bits if c.contains(rays[i])]
 
     @pytest.mark.parametrize("rays, maximal, message", [
         ([[1, 0], [1, 2], [1, 1], [0, 1]], [[0, 1], [2, 3]],
@@ -209,7 +350,7 @@ class TestFanValidation:
          "maximal cone 1 and maximal cone 2 are nested"),
     ])
     def test_messages_name_the_first_pair(self, rays, maximal, message):
-        for make in (fn.fan, old_fan):
+        for make in (fn.fan, pairwise_fan, old_fan):
             with pytest.raises(ValueError) as err:
                 make(rays, maximal, 2)
             assert str(err.value) == message
