@@ -2,15 +2,17 @@
 combinatorial side of toric morphisms.
 
 A fan is stored as a list of primitive ray vectors plus maximal cones
-given as sorted tuples of 0-based ray indices. Faces are derived on
-demand and never stored. Lattice maps are plain integer matrices
-(lists of rows) mapping the source lattice into the target lattice.
+given as sorted tuples of 0-based ray indices; internally a cone is
+its ray mask, bit i for rays[i]. Faces are derived on demand and never
+stored. Lattice maps are plain integer matrices (lists of rows) mapping
+the source lattice into the target lattice.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from operator import and_, mul
+from operator import and_, mul, or_
 
 from . import cones as cn
 from . import zlattice as zl
@@ -90,18 +92,15 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
     exactly.
     """
     n = ambient
-    prim, remap = [], []
+    # dicts keep the rays and the cones in first-seen order
+    index, remap = {}, []
     for r in rays:
         r = [int(x) for x in r]
         if len(r) != n:
             raise ValueError("ray length does not match the ambient dimension")
-        p = zl.primitive(r)
-        if p in prim:
-            remap.append(prim.index(p))
-        else:
-            remap.append(len(prim))
-            prim.append(p)
-    sets = []
+        remap.append(index.setdefault(tuple(zl.primitive(r)), len(index)))
+    prim = [list(p) for p in index]
+    sets = {}
     for I in maximal_cones:
         J = set()
         for i in I:
@@ -109,24 +108,22 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
             if not 0 <= i < len(remap):
                 raise ValueError(f"ray index {i} out of range")
             J.add(remap[i])
-        J = tuple(sorted(J))
-        if J not in sets:
-            sets.append(J)
+        sets[tuple(sorted(J))] = None
     if not sets:
         raise ValueError("a fan needs at least one cone")
-    objs = []
+    sets, objs = list(sets), []
     for k, J in enumerate(sets):
         c = cn.cone([prim[i] for i in J], n)
         if not c.is_pointed:
             raise ValueError(f"maximal cone {k + 1} is not pointed")
-        if {tuple(r) for r in c.rays()} != {tuple(prim[i]) for i in J}:
+        if c._ray_mask() != (1 << len(J)) - 1:
             raise ValueError(f"maximal cone {k + 1} lists a non-extremal generator")
         objs.append(c)
-    used = {i for J in sets for i in J}
-    for i in range(len(prim)):
-        if i not in used:
-            raise ValueError(f"ray {i + 1} is not used by any maximal cone")
     signs = [_sign_masks(c, J, prim) for J, c in zip(sets, objs)]
+    unused = (1 << len(prim)) - 1 & ~reduce(or_, (own for own, _, _ in signs))
+    if unused:
+        i = (unused & -unused).bit_length()   # the lowest unused ray, counting from 1
+        raise ValueError(f"ray {i} is not used by any maximal cone")
     for a in range(len(sets)):
         ra, _, ia = signs[a]
         for b in range(a + 1, len(sets)):
@@ -143,8 +140,7 @@ def fan(rays, maximal_cones, ambient: int) -> Fan:
 
 def _sign_masks(c, J, rays):
     """(own, normals, inside): the sign masks of the cone c on the rays
-    with indices J, as bitmasks over the fan's rays, bit i for rays[i].
-    own has the bits of J; normals has, for each facet normal u of c,
+    with indices J, as ray masks. own has the bits of J; normals has, for each facet normal u of c,
     the pair (N, Z) of the masks of the rays r with u.r <= 0 and with
     u.r = 0; and inside is the mask of the rays in c, those in Z or
     outside N for every u. Python's ints make ~N, and so inside, have
@@ -156,7 +152,7 @@ def _sign_masks(c, J, rays):
         Z = sum(1 << i for i, x in enumerate(d) if not x)
         normals.append((N, Z))
         inside &= Z | ~N
-    return sum(1 << i for i in J), normals, inside
+    return _mask(J), normals, inside
 
 
 def _meet_certified(a, b):
@@ -214,9 +210,16 @@ def _ray_indices(I, Z):
     return tuple(i for j, i in enumerate(I) if Z >> j & 1)
 
 
-def _facets(rays, I, c):
-    """Rays of each facet of the cone c on the rays I."""
-    return [[rays[i] for i in _ray_indices(I, Z)] for Z in c.zero_sets]
+def _mask(ixs):
+    return sum(1 << i for i in ixs)
+
+
+def _ridges(index_sets, cones):
+    """Counter of the cones' facet masks, read off their zero sets. In a
+    fan a ridge lies in a cone of one more dimension only as a facet,
+    so this counts the cones holding each ridge."""
+    return Counter(_mask(_ray_indices(I, Z)) for I, c in zip(index_sets, cones)
+                   for Z in c.zero_sets)
 
 
 def _smallest_cone(F: Fan, vectors):
@@ -245,11 +248,9 @@ def _named_cone(F: Fan, indices):
 def is_complete(F: Fan) -> bool:
     """Exact combinatorial completeness test: the fan is pure of top
     dimension and every ridge lies in exactly two maximal cones."""
-    n = F.ambient_dim
-    if any(c.dim < n for c in F._max_objs):
+    if any(c.dim < F.ambient_dim for c in F._max_objs):
         return False
-    return all(sum(all(map(c.contains, f)) for c in F._max_objs) == 2
-               for I, m in zip(F.maximal_cones, F._max_objs) for f in _facets(F.rays, I, m))
+    return all(k == 2 for k in _ridges(F.maximal_cones, F._max_objs).values())
 
 
 def star_subdivision(F: Fan, index: int) -> Fan:
@@ -317,20 +318,18 @@ def star_quotient_fan(F: Fan, tau):
     d = n - len(pi)
     if d == n:
         return _trusted_fan([], [()], 0), pi
-    new_rays, new_max, objs = [], [], []
+    t, index, new_max, objs = _mask(tau), {}, [], []
     for I in F.maximal_cones:
-        if not set(tau) <= set(I):
+        if t & ~_mask(I):
             continue
         img = cn.cone([zl.mat_vec(pi, F.rays[i]) for i in I], n - d)
         extreme, at = img._ray_mask(), {}   # at: ray index -> position among img's generators
         for k, g in enumerate(img.generators):
             if extreme >> k & 1:
-                if g not in new_rays:
-                    new_rays.append(list(g))
-                at[new_rays.index(g)] = k
+                at[index.setdefault(tuple(g), len(index))] = k
         new_max.append(tuple(sorted(at)))
         objs.append(img.on_generators([at[i] for i in new_max[-1]]))
-    return Fan(n - d, new_rays, new_max, objs), pi
+    return Fan(n - d, [list(g) for g in index], new_max, objs), pi
 
 
 def orbit_table(F: Fan):
@@ -340,8 +339,9 @@ def orbit_table(F: Fan):
     cones containing it."""
     dims = F.faces()
     order = sorted(dims, key=lambda I: (dims[I], I))
-    return [(I, F.ambient_dim - dims[I], [J for J in order if set(I) <= set(J)])
-            for I in order]
+    masks = [_mask(I) for I in order]
+    return [(I, F.ambient_dim - dims[I], [J for J, b in zip(order, masks) if not a & ~b])
+            for I, a in zip(order, masks)]
 
 
 def has_torus_factor(F: Fan) -> bool:
@@ -370,22 +370,19 @@ def is_refinement(Fprime: Fan, F: Fan) -> bool:
     ridge-pairing of the Fprime cones tiling it."""
     if Fprime.ambient_dim != F.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    for cp in Fprime._max_objs:
-        if not any(c.contains_cone(cp) for c in F._max_objs):
-            return False
-    for c in F._max_objs:
-        members = [(I, m) for I, m in zip(Fprime.maximal_cones, Fprime._max_objs)
-                   if m.dim == c.dim and c.contains_cone(m)]
+    holds = [[c.contains_cone(m) for m in Fprime._max_objs] for c in F._max_objs]
+    if not all(map(any, zip(*holds))):
+        return False
+    for c, row in zip(F._max_objs, holds):
+        members = [(I, m) for I, m, h in zip(Fprime.maximal_cones, Fprime._max_objs, row)
+                   if h and m.dim == c.dim]
         if not members:
             return False
-        for I, m in members:
-            for f in _facets(Fprime.rays, I, m):
-                x = [0] * F.ambient_dim
-                for r in f:
-                    x = zl.vadd(x, r)
-                expected = 2 if c.contains_in_relint(x) else 1
-                if sum(all(map(m2.contains, f)) for _, m2 in members) != expected:
-                    return False
+        for R, k in _ridges(*zip(*members)).items():
+            x = reduce(zl.vadd, (r for i, r in enumerate(Fprime.rays) if R >> i & 1),
+                       [0] * F.ambient_dim)
+            if k != (2 if c.contains_in_relint(x) else 1):
+                return False
     return True
 
 

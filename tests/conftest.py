@@ -3,6 +3,7 @@
 import heapq
 import math
 import operator
+import random
 import signal
 import threading
 import time
@@ -15,6 +16,7 @@ from math import gcd
 import pytest
 
 from toric_kernel import cones as cn
+from toric_kernel import fans as fn
 from toric_kernel import polytopes as pt
 from toric_kernel import zlattice as zl
 from toric_kernel._packing import _Overflow, _Packing
@@ -1415,3 +1417,14 @@ def rebuilt_orbit_table(F):
                          key=lambda J: (cones[J].dim, J))
         table.append((I, n - cones[I].dim, closure))
     return table
+
+
+def normal_fan_38_rays():
+    """The normal fan of the hull of 40 points in [-6,6]^3
+    (random.Random(8)): 38 rays and 21 maximal cones, as the console
+    script checks it in CI. With it comes the fan of all but its last
+    maximal cone, which is incomplete and has ridges that lie in one
+    maximal cone only."""
+    rng = random.Random(8)
+    F = fn.normal_fan(pt.hull([[rng.randint(-6, 6) for _ in range(3)] for _ in range(40)]))
+    return F, fn._trusted_fan(F.rays, F.maximal_cones[:-1], 3)

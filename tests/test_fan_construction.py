@@ -13,6 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from conftest import normal_fan_38_rays
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -148,9 +149,7 @@ class TestNoPairValidation:
         """fan() on the 38-ray normal fan of 40 points in [-6,6]^3
         (random.Random(8)) sends at most 10 of its 210 pairs of maximal
         cones to the double description."""
-        rng = random.Random(8)
-        F = fn.normal_fan(pt.hull([[rng.randint(-6, 6) for _ in range(3)]
-                                   for _ in range(40)]))
+        F, _ = normal_fan_38_rays()
         assert (len(F.rays), len(F.maximal_cones)) == (38, 21)
         with self.spy() as m:
             G = fn.fan(F.rays, F.maximal_cones, 3)

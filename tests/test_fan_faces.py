@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 from conftest import (any_cone_is_compatible, intersected_image_cone,
-                      rebuilt_all_cones, rebuilt_orbit_table,
+                      normal_fan_38_rays, rebuilt_all_cones, rebuilt_orbit_table,
                       scanned_cone_containing_relint)
 
 from toric_kernel import cones as cn
@@ -87,9 +87,10 @@ def index_tuples(rng, F, count):
     return out + [(k,), (0, 0)]
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [*range(4), "38 rays"])
 def test_faces_and_orbits_against_rebuilt_cones(seed):
-    for F, _ in seeded_fans(seed):
+    fans = normal_fan_38_rays() if seed == "38 rays" else [F for F, _ in seeded_fans(seed)]
+    for F in fans:
         old = rebuilt_all_cones(F)
         new = F.faces()
         assert sorted(new) == sorted(old)
@@ -175,8 +176,7 @@ def test_star_quotient_builds_each_image_cone_once():
     """The normal fan of the hull of 40 points in [-6,6]^3 (38 rays): its
     star quotient at ray 0 has 3 maximal cones, and each image cone is one
     double description, kept on its rays rather than built again."""
-    rng = random.Random(8)
-    F = fn.normal_fan(pt.hull([[rng.randint(-6, 6) for _ in range(3)] for _ in range(40)]))
+    F, _ = normal_fan_38_rays()
     assert len(F.rays) == 38
     with mock.patch.object(cn, "cone", wraps=cn.cone) as cone:
         G, _ = fn.star_quotient_fan(F, (0,))

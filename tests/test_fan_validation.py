@@ -232,8 +232,11 @@ class TestPairPredicate:
 @st.composite
 def fan_inputs(draw):
     """Two to five maximal cones of n rays each drawn from a pool of
-    n + 3 random vectors; the rays are the pool vectors some cone uses,
-    so that most inputs reach the pairwise checks."""
+    n + 3 random vectors. The rays are the pool vectors some cone uses,
+    in random order, and so most inputs reach the pairwise checks. A
+    quarter of the inputs also list the unused pool vectors, and some
+    used vectors are listed a second time as a positive multiple, which
+    a cone may name in place of the vector itself."""
     n = draw(st.integers(2, 3))
     rng = draw(st.randoms(use_true_random=False))
     pool = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n + 3)]
@@ -241,9 +244,14 @@ def fan_inputs(draw):
     cones = [rng.sample(range(len(pool)), min(len(pool), n))
              for _ in range(rng.randint(2, 5))]
     used = sorted({i for I in cones for i in I})
-    pos = {i: k for k, i in enumerate(used)}
-    return ([pool[i] for i in used],
-            [[pos[i] for i in I] for I in cones], n)
+    listed = [(i, 1) for i in (range(len(pool)) if rng.random() < 0.25 else used)]
+    listed += [(i, rng.randint(2, 3)) for i in used if rng.random() < 0.3]
+    rng.shuffle(listed)
+    pos = {}   # pool index -> the positions that list it
+    for k, (i, _) in enumerate(listed):
+        pos.setdefault(i, []).append(k)
+    return ([[s * x for x in pool[i]] for i, s in listed],
+            [[rng.choice(pos[i]) for i in I] for I in cones], n)
 
 
 def fan_outcome(make, rays, maximal, n):

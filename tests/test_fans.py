@@ -95,8 +95,10 @@ class TestConstruction:
             fan([[1, 0], [0, 1], [1, 1]], [[0, 1, 2]], 2)
 
     def test_unused_ray_rejected(self):
-        with pytest.raises(ValueError, match="not used"):
-            fan([[1, 0], [0, 1]], [[0]], 2)
+        # rays 2 and 3 are unused; the message names the lowest
+        with pytest.raises(ValueError) as err:
+            fan([[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 3]], 2)
+        assert str(err.value) == "ray 2 is not used by any maximal cone"
 
     def test_bad_index(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -1,7 +1,8 @@
 """Face, volume and predicate queries on the data a cone already keeps.
 
-``fans.is_complete`` and ``fans.is_refinement`` read each maximal cone's
-facets off its zero sets, ``cones.is_face_of`` checks the smallest face
+``fans.is_complete`` and ``fans.is_refinement`` count each ridge's maximal
+cones on one Counter of facet masks read off the zero sets
+(``fans._ridges``), ``cones.is_face_of`` checks the smallest face
 it cuts out without building a cone, both volumes share one determinant
 total, and ``is_normal``, ``is_very_ample`` and ``is_smooth`` work on
 the polytope's own cones instead of its full-dimensional projection.
@@ -17,8 +18,9 @@ import random
 import pytest
 from conftest import (all_cones_is_complete, faces_is_refinement,
                       fraction_normalized_volume, fraction_volume,
-                      projected_is_normal, projected_is_smooth,
-                      projected_is_very_ample, rebuilt_is_face_of)
+                      normal_fan_38_rays, projected_is_normal,
+                      projected_is_smooth, projected_is_very_ample,
+                      rebuilt_is_face_of)
 
 from toric_kernel import cones as cn
 from toric_kernel import fans as fn
@@ -53,10 +55,15 @@ def smooth_full_index(F):
 
 def seeded_fans(seed):
     """Fans of every construction: normal fans of 2- and 3-polytopes and
-    of a Minkowski sum, star subdivisions, products, star quotients,
-    incomplete fans from subsets of maximal cones, the fans of the zero
-    cone in Z^2 and Z^0 and 1-dimensional fans. Each entry is (fan, fans it may
-    be compared with for refinement)."""
+    of a Minkowski sum, star subdivisions (one of them less a cone),
+    products, star quotients, incomplete fans from subsets of maximal
+    cones, the fans of the zero cone in Z^2 and Z^0 and 1-dimensional
+    fans. Each entry is (fan, fans it may be compared with for
+    refinement). The seed "38 rays" gives the 38-ray normal fan and that
+    fan without its last maximal cone instead."""
+    if seed == "38 rays":
+        family = list(normal_fan_38_rays())
+        return [(X, family) for X in family]
     rng = random.Random(seed)
     out = []
     for n in (2, 3):
@@ -68,7 +75,9 @@ def seeded_fans(seed):
         family = [F, G, S]
         k = smooth_full_index(F)
         if k is not None:
-            family.append(fn.star_subdivision(F, k))
+            T = fn.star_subdivision(F, k)
+            # without one of its new cones, T leaves a gap inside cone k of F
+            family += [T, fn._trusted_fan(T.rays, T.maximal_cones[:-1], n)]
         k = smooth_full_index(S)
         if k is not None:
             family.append(fn.star_subdivision(S, k))
@@ -100,12 +109,12 @@ def seeded_fans(seed):
 
 
 class TestFansAgainstAllCones:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [*range(6), "38 rays"])
     def test_is_complete(self, seed):
         for F, _ in seeded_fans(seed):
             assert fn.is_complete(F) == all_cones_is_complete(F)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [*range(6), "38 rays"])
     def test_is_refinement(self, seed):
         for F, family in seeded_fans(seed):
             for G in family:
