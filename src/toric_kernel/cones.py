@@ -46,8 +46,6 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
     ray lies in the relative interior of the 2-face of its pair, so no
     ray is found twice (Fukuda-Prodon).
     """
-    if n == 0:
-        return []
     if indep is None:
         indep = _independent_rows(cons, n)
     if len(indep) < n:
@@ -234,15 +232,7 @@ class Cone:
     @property
     def is_smooth(self) -> bool:
         """The rays extend to a Z-basis of the ambient lattice."""
-        if not self.is_pointed:
-            return False
-        R = self.rays()
-        if len(R) != self.dim:
-            return False
-        if not R:
-            return True
-        diag = zl.snf_diagonal(zl.from_columns(R, rows=self.ambient_dim))
-        return all(d == 1 for d in diag)
+        return self.is_simplicial and zl.saturation_index(self.rays()) == 1
 
     def on_generators(self, positions) -> "Cone":
         """This cone on its generators at the given positions, in that

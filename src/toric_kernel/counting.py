@@ -48,15 +48,6 @@ class CountReport:
                 f"kushnirenko={self.kushnirenko})")
 
 
-def _index_in_saturation(diffs, n: int) -> int:
-    """Index of the lattice spanned by diffs inside the saturation of
-    its rational span, as the product of its elementary divisors."""
-    vecs = [list(d) for d in diffs if any(d)]
-    if not vecs:
-        return 1
-    return prod(d for d in zl.snf_diagonal(zl.from_columns(vecs, rows=n)) if d)
-
-
 def kushnirenko_count(A) -> tuple:
     """(degree, normalized_volume, index) for a support matrix whose
     columns are the exponent vectors.
@@ -75,7 +66,7 @@ def kushnirenko_count(A) -> tuple:
     P = pt.hull(points)
     nv = pt.normalized_volume(P)
     diffs = [zl.vsub(p, points[0]) for p in points[1:]]
-    index = _index_in_saturation(diffs, len(A))
+    index = zl.saturation_index(diffs)
     if nv % index:
         raise AssertionError("normalized volume must be divisible by "
                              "the lattice index")
@@ -133,8 +124,8 @@ def bkk_count(system) -> CountReport:
     kushnirenko = None
     if len({frozenset(s) for s in supports}) == 1:
         kushnirenko = pt.normalized_volume(newtons[0])
-    index = _index_in_saturation(
-        [zl.vsub(list(m), list(s[0])) for s in supports for m in s[1:]], n)
+    index = zl.saturation_index(
+        [zl.vsub(list(m), list(s[0])) for s in supports for m in s[1:]])
     return CountReport(kushnirenko, pt.mixed_volume(newtons),
                        bezout_count([_bezout_degree(s) for s in supports]),
                        index, F, divisors, homogenized)

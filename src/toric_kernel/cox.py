@@ -49,16 +49,12 @@ def irrelevant_ideal(F) -> list:
     """Squarefree generators x^sigma-hat, one per maximal cone.
 
     The generator of a cone is the product of the variables whose rays
-    lie outside the cone. Duplicates are dropped, keeping cone order.
+    lie outside the cone, in cone order. The maximal cones of a Fan are
+    distinct, so are the generators.
     """
     k = len(F.rays)
-    gens = []
-    for I in F.maximal_cones:
-        exps = tuple(int(i not in I) for i in range(k))
-        g = SparsePolynomial(k, {exps: Fraction(1)})
-        if g not in gens:
-            gens.append(g)
-    return gens
+    return [SparsePolynomial(k, {tuple(int(i not in I) for i in range(k)): Fraction(1)})
+            for I in F.maximal_cones]
 
 
 def primitive_collections(F) -> list:

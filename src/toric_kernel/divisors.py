@@ -227,7 +227,7 @@ def picard_group(F):
             row[i] = 1
             row[k + n * s:k + n * (s + 1)] = F.rays[i]
             W.append(row)
-    gens = zl.kernel_basis(W)[:k] if W else zl.identity(k)
+    gens = zl.kernel_basis(W)[:k]
     X = zl._sublattice_coords(_ray_matrix(F), gens)
     assert X is not None, "principal divisors must be Cartier"
     return zl.cokernel(X)[0]

@@ -345,8 +345,6 @@ def orbit_table(F: Fan):
 
 
 def has_torus_factor(F: Fan) -> bool:
-    if not F.rays:
-        return F.ambient_dim > 0
     return zl.rank([list(r) for r in F.rays]) < F.ambient_dim
 
 

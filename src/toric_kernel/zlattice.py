@@ -224,11 +224,6 @@ def snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             r[t] += r[t + 1]
 
 
-def snf_diagonal(M: Matrix) -> list:
-    S, _, _ = snf(M)
-    return [S[i][i] for i in range(min(shape(M)))]
-
-
 def kernel_basis(M: Matrix) -> Matrix:
     """Basis of the saturated kernel {x integer : M x = 0}, as columns.
 
@@ -414,6 +409,22 @@ def lattice_index(Msub: Matrix, Msup: Matrix):
     for i, j in pivots:
         index *= Hc[i][j]
     return index
+
+
+def saturation_index(vectors: list) -> int:
+    """Index of the lattice spanned by the vectors in its saturation
+    (R-span) cap Z^n, the product of the nonzero Smith invariants of
+    the matrix with the vectors as rows, from two column HNFs.
+
+    The first, M U = [H | 0] with r = rank M, maps the lattice onto the
+    row lattice of H, of full rank in Z^r; the second, of H^T, has that
+    lattice's index as the product of its pivots. One HNF is not
+    enough: for the vectors (2) and (3) its pivot is 2, the index 1.
+    """
+    H, _ = hnf(vectors)
+    r = len(hnf_pivots(H))
+    H, _ = hnf(transpose([row[:r] for row in H]))
+    return math.prod(H[i][j] for i, j in hnf_pivots(H))
 
 
 def affine_lattice_gens(A: Matrix) -> Matrix:

@@ -448,6 +448,21 @@ def old_lattice_index(Msub: Matrix, Msup: Matrix):
 
 
 # ---------------------------------------------------------------------------
+# the index of a lattice in its saturation as ``counting`` computed it before
+# ``zl.saturation_index``, from the Smith form: the oracle of the two-HNF
+# routine, with the diagonal read off ``zl.snf``
+
+def snf_index_in_saturation(diffs, n: int) -> int:
+    """Index of the lattice spanned by diffs inside the saturation of
+    its rational span, as the product of its elementary divisors."""
+    vecs = [list(d) for d in diffs if any(d)]
+    if not vecs:
+        return 1
+    S = zl.snf(zl.from_columns(vecs, rows=n))[0]
+    return math.prod(S[i][i] for i in range(min(n, len(vecs))) if S[i][i])
+
+
+# ---------------------------------------------------------------------------
 # the tuple Buchberger engine, the oracle of the packed one in ideals.py:
 # ``tuple_pair_loop`` and ``tuple_binomial_basis`` are the pair loop and the
 # binomial engine the library ran before it packed each monomial into one

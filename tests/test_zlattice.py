@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 from conftest import (lagrange_interpolate, old_lattice_index, pivot_snf,
-                      quotient_map, snf_kernel, span_lattice_basis, spy_hnf,
-                      within)
+                      quotient_map, snf_index_in_saturation, snf_kernel,
+                      span_lattice_basis, spy_hnf, within)
 from hypothesis import example, given, seed, settings, strategies as st
 
 from toric_kernel import zlattice as zl
@@ -143,7 +143,8 @@ class TestSnfAgainstPivotEngine:
         # each repair and never stop on these
         M = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
         with within(5):
-            assert zl.snf_diagonal(M) == expected
+            S = zl.snf(M)[0]
+        assert [S[i][i] for i in range(len(d))] == expected
 
     def test_random_40x40_within_budget(self):
         rng = random.Random(0)
@@ -355,7 +356,8 @@ class TestLatticeIndex:
             if zl.det(Msup) == 0:
                 continue
             X = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
-            diag = zl.snf_diagonal(X)
+            S = zl.snf(X)[0]
+            diag = [S[i][i] for i in range(min(n, k))]
             expected = math.prod(diag) if len(diag) == n and all(diag) else math.inf
             calls = spy_hnf(monkeypatch)
             assert zl.lattice_index(zl.mat_mul(Msup, X), Msup) == expected
@@ -386,6 +388,39 @@ class TestLatticeIndex:
             assert zl.lattice_index(Msub, Msup) == expected, (Msub, Msup)
             outcomes["inf" if expected == math.inf else "finite"] += 1
         assert min(outcomes.values()) >= 30, outcomes
+
+
+class TestSaturationIndex:
+    @pytest.mark.parametrize("vectors, expected", [
+        ([], 1), ([[0, 0]], 1), ([[2], [3]], 1), ([[2, 0], [0, 2]], 4),
+        ([[1, 2, 3], [1, 0, 1]], 2), ([[2, 4], [3, 6]], 1), ([[2, 4], [4, 8]], 2)])
+    def test_examples(self, vectors, expected):
+        # (2) and (3): the first HNF's pivot is 2, the index 1
+        assert zl.saturation_index(vectors) == expected
+
+    def test_matches_smith_product(self):
+        # empty, zero and dependent lists, and indices past 1
+        rng = random.Random(20261022)
+        outcomes = {"empty": 0, "zero": 0, "dependent": 0, "index > 1": 0}
+        for _ in range(2400):
+            n, k = rng.randint(0, 5), rng.randint(0, 7)
+            bound = rng.choice([1, 3, 8])
+            vectors = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            if k >= 3 and rng.random() < 0.3:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                vectors[-1] = [a * x + b * y for x, y in zip(vectors[0], vectors[1])]
+            if k and rng.random() < 0.2:
+                vectors[rng.randrange(k)] = [0] * n
+            if k and rng.random() < 0.3:
+                c = rng.choice([2, 3, 6])
+                vectors = [[c * x for x in v] for v in vectors]
+            expected = snf_index_in_saturation(vectors, n)
+            assert zl.saturation_index(vectors) == expected, vectors
+            outcomes["empty"] += not k
+            outcomes["zero"] += any(not any(v) for v in vectors)
+            outcomes["dependent"] += zl.rank(vectors) < k
+            outcomes["index > 1"] += expected > 1
+        assert min(outcomes.values()) >= 200, outcomes
 
 
 class TestAffineGens:
@@ -456,11 +491,11 @@ class TestInterpolate:
 
 
 def test_only_zlattice_calls_snf():
-    """Every other module reaches the Smith transform through a zlattice
-    routine (cokernel or snf_diagonal), so a new Smith engine has to
-    change zlattice alone. Inside zlattice only those two call snf, and
-    neither keeps its column transform Q: every kernel and sublattice
-    split comes from the column HNF."""
+    """Every other module reaches the Smith transform through
+    zlattice.cokernel, so a new Smith engine has to change zlattice
+    alone. Inside zlattice only cokernel calls snf, and it does not keep
+    the column transform Q: every kernel, sublattice split and lattice
+    index comes from the column HNF."""
     package = Path(zl.__file__).parent
     callers = []
     for path in sorted(package.glob("*.py")):
@@ -485,5 +520,5 @@ def test_only_zlattice_calls_snf():
             if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
                     and getattr(node.value.func, "id", None) == "snf"):
                 q_names.append(node.targets[0].elts[2].id)
-    assert calls == {"cokernel": 1, "snf_diagonal": 1}
-    assert q_names == ["_", "_"]
+    assert calls == {"cokernel": 1}
+    assert q_names == ["_"]
