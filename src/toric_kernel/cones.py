@@ -18,19 +18,6 @@ from operator import add, and_, ge, mul, sub
 from . import zlattice as zl
 
 
-def _independent_rows(cons, n):
-    """Indices of the first rows of cons that are linearly independent,
-    at most n of them; there are n exactly when cons has rank n."""
-    echelon = zl.RowEchelon()
-    indep = []
-    for i, u in enumerate(cons):
-        if len(indep) == n:
-            break
-        if echelon.add(u):
-            indep.append(i)
-    return indep
-
-
 def _dual_rays_with_zero_sets(cons, n, indep=None):
     """Pairs (ray, Z): the extreme rays of D = {x : <u, x> >= 0 for u in
     cons}, each once and with the bitmask Z of the constraint indices
@@ -47,7 +34,7 @@ def _dual_rays_with_zero_sets(cons, n, indep=None):
     ray is found twice (Fukuda-Prodon).
     """
     if indep is None:
-        indep = _independent_rows(cons, n)
+        indep = zl.independent_rows(cons)
     if len(indep) < n:
         raise ValueError("constraint matrix does not have full rank")
     # column j of U^-1 = adj(U) / det U is the ray tight on all of U's
@@ -115,7 +102,7 @@ def halfspace_generators(constraints, n):
     in input order with the zero constraints left out.
     """
     cons = [list(u) for u in constraints if any(u)]
-    indep = _independent_rows(cons, n)
+    indep = zl.independent_rows(cons)
     if len(indep) == n:
         lin, pairs = [], _dual_rays_with_zero_sets(cons, n, indep)
     else:
@@ -125,7 +112,8 @@ def halfspace_generators(constraints, n):
         coords, pi = zl.lattice_coords(cons, n)
         quotient = _dual_rays_with_zero_sets([zl.mat_vec(coords, u) for u in cons],
                                              len(coords))
-        H = zl.hnf(zl.transpose(pi))[0]     # full column rank
+        H = zl.transpose(pi)
+        zl._column_hnf(H, [])               # full column rank
         lin, pivots, lift = zl.columns(H), zl.hnf_pivots(H), zl.transpose(coords)
         pairs = []
         for r, Z in quotient:
@@ -363,7 +351,8 @@ def _parallelepiped_points(S, d):
     a, and so r and x, by fixed amounts; each residue that then passes D
     wraps and takes one more column of S off x. Only a = 0 gives x = 0.
     """
-    H, _ = zl.hnf(S)
+    H = zl.copy_matrix(S)
+    zl._column_hnf(H, [])
     adj, det = zl.adjugate(S)
     D = abs(det)
     if det < 0:

@@ -126,9 +126,10 @@ def hnf(M: Matrix) -> tuple[Matrix, Matrix]:
     return H, U
 
 
-def _column_hnf(H: Matrix, U: Matrix) -> None:
+def _column_hnf(H: Matrix, U: Matrix) -> int:
     """Bring H to the column HNF of ``hnf`` in place, applying every
-    column operation to U as well.
+    column operation to U as well, and return the rank of H. A caller
+    that needs no transform passes ``U = []``.
 
     U's rows sit under H's in one stack ``A = H + U`` of the same row
     objects, so each gcd step, swap, sign flip and left reduction is one
@@ -177,6 +178,7 @@ def _column_hnf(H: Matrix, U: Matrix) -> None:
                 for r in below:
                     r[j] -= q * r[col]
         col += 1
+    return col
 
 
 def hnf_pivots(H: Matrix) -> list:
@@ -231,8 +233,8 @@ def kernel_basis(M: Matrix) -> Matrix:
     zero there and U is unimodular, so they span the full intersection
     of the rational kernel with the integer lattice (Cohen, section 2.4).
     """
-    H, U = hnf(M)
-    rank = len(hnf_pivots(H))
+    U = identity(shape(M)[1])
+    rank = _column_hnf(copy_matrix(M), U)
     return [row[rank:] for row in U]
 
 
@@ -295,8 +297,8 @@ def cokernel(M: Matrix) -> tuple[AbelianGroupPresentation, Matrix]:
 def lattice_coords(vectors: list, n: int) -> tuple[Matrix, Matrix]:
     """(coords, pi) of ``lattice_split``, from its first HNF alone."""
     rows = [list(v) for v in vectors]
-    H, U = hnf(rows) if rows else ([], identity(n))
-    r = len(hnf_pivots(H))
+    U = identity(n)
+    r = _column_hnf(rows, U) if rows else 0
     cols = columns(U)
     return cols[:r], cols[r:]
 
@@ -379,8 +381,8 @@ def _sublattice_coords(Msub: Matrix, Msup: Matrix):
     lattice of Msup formed by the nonzero columns of its column HNF, as
     the columns of a (rank Msup) x (columns of Msub) matrix, or None
     when some column of Msub falls outside that lattice."""
-    Hs, _ = hnf(Msup)
-    r = len(hnf_pivots(Hs))
+    Hs = copy_matrix(Msup)
+    r = _column_hnf(Hs, [])
     # the leading columns of Hs are already a column HNF
     solve = _hnf_solver([row[:r] for row in Hs], identity(r))
     coords = [_integral(solve(col)) for col in columns(Msub)]
@@ -401,14 +403,10 @@ def lattice_index(Msub: Matrix, Msup: Matrix):
     C = _sublattice_coords(Msub, Msup)
     if C is None:
         raise ValueError("column of Msub lies outside the superlattice")
-    Hc, _ = hnf(C)
-    pivots = hnf_pivots(Hc)
-    if len(pivots) < len(C):
+    if _column_hnf(C, []) < len(C):
         return math.inf
-    index = 1
-    for i, j in pivots:
-        index *= Hc[i][j]
-    return index
+    # a column HNF of full row rank has its pivots on the diagonal
+    return math.prod(C[i][i] for i in range(len(C)))
 
 
 def saturation_index(vectors: list) -> int:
@@ -418,13 +416,15 @@ def saturation_index(vectors: list) -> int:
 
     The first, M U = [H | 0] with r = rank M, maps the lattice onto the
     row lattice of H, of full rank in Z^r; the second, of H^T, has that
-    lattice's index as the product of its pivots. One HNF is not
-    enough: for the vectors (2) and (3) its pivot is 2, the index 1.
+    lattice's index as the product of its pivots, which sit on the
+    diagonal. One HNF is not enough: for the vectors (2) and (3) its
+    pivot is 2, the index 1. Neither HNF builds a transform.
     """
-    H, _ = hnf(vectors)
-    r = len(hnf_pivots(H))
-    H, _ = hnf(transpose([row[:r] for row in H]))
-    return math.prod(H[i][j] for i, j in hnf_pivots(H))
+    H = copy_matrix(vectors)
+    r = _column_hnf(H, [])
+    T = transpose([row[:r] for row in H])
+    _column_hnf(T, [])
+    return math.prod(T[i][i] for i in range(r))
 
 
 def affine_lattice_gens(A: Matrix) -> Matrix:
@@ -436,9 +436,34 @@ def affine_lattice_gens(A: Matrix) -> Matrix:
     return [[A[i][j] - A[i][0] for j in range(1, cols)] for i in range(rows)]
 
 
+def independent_rows(M: Matrix) -> list:
+    """Indices of the rows of M outside the rational span of the rows
+    before them, so that len(independent_rows(M)) is the rank of M.
+
+    Fraction-free elimination: each kept row is stored primitive and
+    zero on the pivots of the rows kept before it, so one pass over
+    them reduces the next row, which is kept when something survives.
+    The scan stops once the kept rows span every column.
+    """
+    cols = shape(M)[1]    # a ragged matrix raises
+    kept, echelon = [], []
+    for i, v in enumerate(M):
+        if len(kept) == cols:
+            break
+        for p, row in echelon:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, primitive(v)))
+            kept.append(i)
+    return kept
+
+
 def rank(M: Matrix) -> int:
-    shape(M)    # a ragged matrix raises
-    return len(RowEchelon(M))
+    return len(independent_rows(M))
 
 
 def solve_rational(M: Matrix, b: list):
@@ -446,44 +471,6 @@ def solve_rational(M: Matrix, b: list):
     least of all solutions, or None when inconsistent."""
     sol = _hnf_solver(*hnf(M))(b)
     return None if sol is None else [Fraction(v, sol[1]) for v in sol[0]]
-
-
-class RowEchelon:
-    """Fraction-free row echelon form of a growing set of integer vectors.
-
-    Each stored row is primitive and zero on the pivots of the rows
-    stored before it, so one pass over the rows reduces a vector:
-    ``residue(v)`` is zero exactly when v lies in the rational span of
-    the rows, and ``add(v)`` stores v when it is independent of them.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, vectors=()):
-        self._rows = []
-        for v in vectors:
-            self.add(v)
-
-    def __len__(self):
-        return len(self._rows)
-
-    def residue(self, v: list) -> list:
-        v = list(v)
-        for p, row in self._rows:
-            c = v[p]
-            if c:
-                a = row[p]
-                v = [a * x - c * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, v: list) -> bool:
-        """Store v if it is independent of the rows; report whether it was."""
-        r = self.residue(v)
-        p = next((j for j, x in enumerate(r) if x), None)
-        if p is None:
-            return False
-        self._rows.append((p, primitive(r)))
-        return True
 
 
 def det(M: Matrix) -> int:

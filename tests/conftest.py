@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -75,15 +76,18 @@ def within(seconds):
 
 
 def spy_hnf(monkeypatch) -> list:
-    """Record the argument of every ``zl.hnf`` call for the rest of the test."""
+    """Record the matrix of every column HNF taken outside ``zl.snf`` for
+    the rest of the test: each ``zl._column_hnf`` call, whether it came
+    through ``zl.hnf`` or not."""
     calls = []
-    hnf = zl.hnf
+    column_hnf = zl._column_hnf
 
-    def spy(M):
-        calls.append(M)
-        return hnf(M)
+    def spy(H, U):
+        if sys._getframe(1).f_code is not zl.snf.__code__:
+            calls.append(copy_matrix(H))
+        return column_hnf(H, U)
 
-    monkeypatch.setattr(zl, "hnf", spy)
+    monkeypatch.setattr(zl, "_column_hnf", spy)
     return calls
 
 
@@ -155,9 +159,9 @@ def _scale_col(M, j, c):
         row[j] *= c
 
 
-def old_column_hnf(H: Matrix, U: Matrix) -> None:
+def old_column_hnf(H: Matrix, U: Matrix) -> int:
     """Bring H to the column HNF of ``hnf`` in place, applying every
-    column operation to U as well."""
+    column operation to U as well, and return the rank of H."""
     rows, cols = shape(H)
     col = 0
     for row in range(rows):
@@ -193,6 +197,7 @@ def old_column_hnf(H: Matrix, U: Matrix) -> None:
                 _add_col(H, j, col, -q)
                 _add_col(U, j, col, -q)
         col += 1
+    return col
 
 
 def old_snf(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -460,6 +465,49 @@ def snf_index_in_saturation(diffs, n: int) -> int:
         return 1
     S = zl.snf(zl.from_columns(vecs, rows=n))[0]
     return math.prod(S[i][i] for i in range(min(n, len(vecs))) if S[i][i])
+
+
+# ---------------------------------------------------------------------------
+# the growing row echelon form the library kept before ``zl.independent_rows``,
+# unchanged apart from the ``zl.`` prefix: the oracle of ``independent_rows``
+# (the rows that ``add`` accepts) and the span test of ``rank_hull`` below
+
+class RowEchelon:
+    """Fraction-free row echelon form of a growing set of integer vectors.
+
+    Each stored row is primitive and zero on the pivots of the rows
+    stored before it, so one pass over the rows reduces a vector:
+    ``residue(v)`` is zero exactly when v lies in the rational span of
+    the rows, and ``add(v)`` stores v when it is independent of them.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows = []
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def residue(self, v: list) -> list:
+        v = list(v)
+        for p, row in self._rows:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, v: list) -> bool:
+        """Store v if it is independent of the rows; report whether it was."""
+        r = self.residue(v)
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        self._rows.append((p, zl.primitive(r)))
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1157,7 @@ def rank_hull(points) -> RankPolytope:
             raise AssertionError("homogenized cone has a ray at height != 1")
         verts.append(r[:-1])
     verts.sort()
-    lin_span = zl.RowEchelon(b[:-1] for b in C.dual_lineality)
+    lin_span = RowEchelon(b[:-1] for b in C.dual_lineality)
     facets = []
     for m in C.dual_rays:
         u, a = m[:-1], m[-1]
@@ -1215,7 +1263,7 @@ def scan_dual_rays_with_zero_sets(cons, n, indep=None):
     if n == 0:
         return []
     if indep is None:
-        indep = cn._independent_rows(cons, n)
+        indep = zl.independent_rows(cons)
     if len(indep) < n:
         raise ValueError("constraint matrix does not have full rank")
     adj, det = zl.adjugate([cons[i] for i in indep])

@@ -20,7 +20,7 @@ from toric_kernel import zlattice as zl
 
 
 def full_rank(cons, n):
-    return len(cn._independent_rows(cons, n)) == n
+    return len(zl.independent_rows(cons)) == n
 
 
 def assert_same_rays(cons, n, indep=None):

@@ -13,8 +13,8 @@ from itertools import combinations
 from math import floor, gcd, lcm
 
 import pytest
-from conftest import (adjugate_parallelepiped_points, dedupe, gauss_jordan_solve,
-                      pivot_snf)
+from conftest import (RowEchelon, adjugate_parallelepiped_points, dedupe,
+                      gauss_jordan_solve, pivot_snf)
 from hypothesis import given, seed, settings, strategies as st
 
 from toric_kernel import cones as cn
@@ -265,7 +265,56 @@ class TestIntegerSolver:
             zl.solve_integer([[1, 0], [0, 1]], [1, 2, 3])
 
 
-class TestRowEchelon:
+class TestIndependentRows:
+    """``zl.independent_rows`` against the growing row echelon form it
+    replaced, ``RowEchelon`` in conftest: the same rows, in the same
+    order, as those that ``RowEchelon.add`` accepts."""
+
+    @staticmethod
+    def accepted(M):
+        echelon = RowEchelon()
+        return [i for i, u in enumerate(M) if echelon.add(u)]
+
+    def test_matches_the_row_echelon_oracle(self):
+        rng = random.Random(20261022)
+        seen = dict.fromkeys(("repeated", "zero", "dependent", "2^70"), 0)
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            big = rng.random() < 0.3
+            scale = 2 ** 70 if big else 1
+            M = [[scale * rng.randint(-4, 4) + big * rng.randint(-2, 2)
+                  for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.choice(("repeated", "zero", "dependent"))
+                if kind == "repeated":
+                    u = list(rng.choice(M))
+                elif kind == "zero":
+                    u = [0] * n
+                else:
+                    a, b = rng.choice(M), rng.choice(M)
+                    c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                    u = [c * x + d * y for x, y in zip(a, b)]
+                M.insert(rng.randint(0, len(M)), u)
+                seen[kind] += 1
+            seen["2^70"] += big
+            got = zl.independent_rows(M)
+            assert got == self.accepted(M), M
+            assert zl.rank(M) == len(got) == hnf_rank(M), M
+        assert min(seen.values()) >= 300, seen
+
+    @pytest.mark.parametrize("M", [[], [[]], [[], [], []]],
+                             ids=["0x0", "1x0", "3x0"])
+    def test_no_rows_or_no_columns(self, M):
+        assert zl.independent_rows(M) == self.accepted(M) == []
+        assert zl.rank(M) == 0
+
+    def test_ragged_matrix_raises(self):
+        for M in ([[1, 2], [3]], [[1], [0, 1]], [[], [0]]):
+            with pytest.raises(ValueError, match="ragged"):
+                zl.independent_rows(M)
+            with pytest.raises(ValueError, match="ragged"):
+                zl.rank(M)
+
     @seed(20261022)
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -277,19 +326,16 @@ class TestRowEchelon:
     def test_rank_and_span_match_hnf_and_rational_solve(self, data):
         vectors, probes = data
         n = len(vectors[0])
-        assert zl.rank(vectors) == hnf_rank(vectors)
-        echelon = zl.RowEchelon(vectors)
+        r = zl.rank(vectors)
+        assert r == hnf_rank(vectors)
         basis = zl.from_columns(vectors, rows=n)
         for u in probes + [list(vectors[0])]:
             in_span = gauss_jordan_solve(basis, u) is not None
-            assert (not any(echelon.residue(u))) == in_span
+            assert (zl.rank(vectors + [u]) == r) == in_span
 
-    def test_add_reports_independence(self):
-        echelon = zl.RowEchelon()
-        picks = [echelon.add(u) for u in
-                 ([1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [0, 0, 5])]
-        assert picks == [True, False, True, False, True]
-        assert len(echelon) == 3
+    def test_picks_the_rows_add_accepts(self):
+        M = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [0, 0, 5], [7, 1, 2]]
+        assert zl.independent_rows(M) == self.accepted(M) == [0, 2, 4]
 
 
 def test_hilbert_basis_of_simplicial_cones_unchanged():

@@ -422,6 +422,14 @@ class TestSaturationIndex:
             outcomes["index > 1"] += expected > 1
         assert min(outcomes.values()) >= 200, outcomes
 
+    def test_many_vectors_within_budget(self):
+        # 2,000 even vectors in Z^3: a second HNF that carried its
+        # 2,000 x 2,000 transform took about a second here
+        rng = random.Random(1)
+        vectors = [[2 * rng.randint(-9, 9) for _ in range(3)] for _ in range(2000)]
+        with within(0.5):
+            assert zl.saturation_index(vectors) == 8
+
 
 class TestAffineGens:
     def test_single_point(self):
